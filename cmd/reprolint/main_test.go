@@ -30,7 +30,7 @@ func TestSeededRegressions(t *testing.T) {
 		"cmd/reprolint/testdata/src/demo/demo.go:27:", // time.Now in EmitRow
 		"determinism: call to time.Now reads the wall clock",
 		"cmd/reprolint/testdata/src/demo/demo.go:32:", // map lookup in Publish
-		"metricsdiscipline: metric cell fetched through a map",
+		"sinkdiscipline: metric cell fetched through a map",
 		"1 //repro:allow suppression(s) in effect",
 		"steady-state writes hit existing keys (suppressed 1)",
 	} {
@@ -120,7 +120,7 @@ func TestSARIFOutput(t *testing.T) {
 	for _, r := range log.Runs[0].Tool.Driver.Rules {
 		rules[r.ID] = true
 	}
-	for _, want := range []string{"hotpathalloc", "determinism", "shardpurity", "atomicdiscipline", "metricsdiscipline", "recdiscipline", "devirt"} {
+	for _, want := range []string{"hotpathalloc", "determinism", "shardpurity", "atomicdiscipline", "sinkdiscipline", "devirt"} {
 		if !rules[want] {
 			t.Errorf("rules missing analyzer %q", want)
 		}

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs/rec"
 )
 
@@ -55,16 +56,31 @@ func run(t *testing.T, args ...string) (string, string, int) {
 	return stdout.String(), stderr.String(), code
 }
 
+// Bad flags and bad flag values fail before any simulation: nonzero
+// exit, nothing on stdout, and stderr names the offending input.
 func TestBadFlagExitsNonzero(t *testing.T) {
-	stdout, stderr, code := run(t, "-no-such-flag")
-	if code == 0 {
-		t.Error("bad flag exited 0")
-	}
-	if stdout != "" {
-		t.Errorf("bad flag wrote to stdout: %q", stdout)
-	}
-	if !strings.Contains(stderr, "no-such-flag") {
-		t.Errorf("stderr does not name the bad flag: %q", stderr)
+	for _, tc := range []struct {
+		name string
+		args []string
+		want []string // substrings stderr must carry
+	}{
+		{"unknown-flag", []string{"-no-such-flag"}, []string{"no-such-flag"}},
+		{"unknown-experiment", []string{"-suite", "-experiments", "E99"}, []string{"E99", core.ExperimentIDRange()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stdout, stderr, code := run(t, tc.args...)
+			if code == 0 {
+				t.Errorf("%v exited 0", tc.args)
+			}
+			if stdout != "" {
+				t.Errorf("%v wrote to stdout: %q", tc.args, stdout)
+			}
+			for _, w := range tc.want {
+				if !strings.Contains(stderr, w) {
+					t.Errorf("%v stderr does not name %q: %q", tc.args, w, stderr)
+				}
+			}
+		})
 	}
 }
 

@@ -61,7 +61,7 @@ func main() {
 	// Combined engine vs encryption alone, across memory speeds.
 	fmt.Println("\nmemory speed sweep (overhead vs plaintext baseline):")
 	fmt.Println("memory        encrypt-only   compress+encrypt")
-	tr := trace.CodeOnly(trace.Config{Refs: 60000, Seed: 3, JumpRate: 0.03, CodeSize: 2 << 20})
+	tr := trace.CodeOnlySource(trace.Config{Refs: 60000, Seed: 3, JumpRate: 0.03, CodeSize: 2 << 20})
 	for _, m := range []struct {
 		name            string
 		busDiv, dramDiv int

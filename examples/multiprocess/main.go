@@ -56,7 +56,7 @@ func main() {
 	// Then the cost: key-reload tax vs scheduling quantum.
 	fmt.Println("quantum(refs)  domain-switches  cycles     vs single-key")
 	for _, quantum := range []int{100, 1000, 10000} {
-		tr := trace.MultiProcess(trace.MultiProcessConfig{
+		tr := trace.MultiProcessSource(trace.MultiProcessConfig{
 			Config:  trace.Config{Refs: 60000, Seed: 6, LoadFraction: 0.3, WriteFraction: 0.3, Locality: 0.6},
 			Procs:   procs,
 			Quantum: quantum,

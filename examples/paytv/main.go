@@ -72,7 +72,7 @@ func main() {
 
 	busProbe := &attack.Probe{}
 	stb.Bus().Attach(busProbe)
-	rep := stb.Run(trace.Sequential(trace.Config{
+	rep := stb.Run(trace.SequentialSource(trace.Config{
 		Refs: 40000, Seed: 9, LoadFraction: 0.3, WriteFraction: 0.2,
 		Locality: 0.7, CodeSize: uint64(len(installedImage)) &^ 31,
 	}))

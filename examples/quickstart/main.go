@@ -40,7 +40,7 @@ func main() {
 	system.Bus().Attach(probe)
 
 	// 4. Run a workload and look at the wires.
-	workload := trace.Sequential(trace.Config{
+	workload := trace.SequentialSource(trace.Config{
 		Refs: 50000, Seed: 1, LoadFraction: 0.3, WriteFraction: 0.25, Locality: 0.7,
 	})
 	report := system.Run(workload)

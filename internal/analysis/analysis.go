@@ -1,8 +1,9 @@
 // Package analysis implements reprolint: a small, dependency-free
 // go/analysis-style framework that statically enforces this repo's two
 // load-bearing contracts — the 0 allocs/ref hot loop and the
-// byte-identical determinism of campaign output — plus the metrics
-// discipline that keeps the observability layer off the hot path.
+// byte-identical determinism of campaign output — plus the sink
+// discipline that keeps the metrics registry and flight recorder off the
+// hot path.
 //
 // The dynamic pins (AllocsPerRun, jobs-determinism smokes, benchtrend)
 // prove the contracts hold on the paths the tests exercise; these
@@ -44,7 +45,7 @@ type Analyzer struct {
 }
 
 // All is the full reprolint suite in reporting order.
-var All = []*Analyzer{HotPathAlloc, Determinism, ShardPurity, AtomicDiscipline, MetricsDiscipline, RecDiscipline, Devirt}
+var All = []*Analyzer{HotPathAlloc, Determinism, ShardPurity, AtomicDiscipline, SinkDiscipline, Devirt}
 
 // Timing records one analyzer's wall-clock cost, so lint runtime is a
 // tracked quantity (surfaced by the driver, guarded in CI) rather than

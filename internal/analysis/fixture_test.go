@@ -148,12 +148,13 @@ func TestDeterminismFixture(t *testing.T) {
 	runFixture(t, "determfix", Determinism)
 }
 
+// SinkDiscipline covers both sinks; each keeps its own fixture.
 func TestRecDisciplineFixture(t *testing.T) {
-	runFixture(t, "recfix", RecDiscipline)
+	runFixture(t, "recfix", SinkDiscipline)
 }
 
 func TestMetricsDisciplineFixture(t *testing.T) {
-	runFixture(t, "metricsfix", MetricsDiscipline)
+	runFixture(t, "metricsfix", SinkDiscipline)
 }
 
 // TestShardPurityFixture also runs Devirt: shardfix carries the

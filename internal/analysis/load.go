@@ -51,8 +51,9 @@ type Program struct {
 // Load parses and type-checks the module packages matched by patterns.
 // Patterns are directory paths relative to dir; a trailing "/..."
 // expands recursively (skipping testdata, hidden and underscore
-// directories — explicit paths may still point into testdata, which is
-// how fixture packages load). Module-local imports of matched packages
+// directories, and, as go list does, any subdirectory holding its own
+// go.mod — explicit paths may still point into testdata, which is how
+// fixture packages load). Module-local imports of matched packages
 // are loaded transitively; standard-library imports come from export
 // data (or from source when no export data is available).
 func Load(dir string, patterns ...string) (*Program, error) {
@@ -161,6 +162,9 @@ func expandPatterns(base string, patterns []string) ([]string, error) {
 			name := d.Name()
 			if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
 				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil && path != root {
+				return filepath.SkipDir // a nested module is not part of this one
 			}
 			if hasGoFiles(path) {
 				add(path)

@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -59,5 +61,37 @@ func TestLoadErrors(t *testing.T) {
 	}
 	if _, err := Load("/", "./..."); err == nil {
 		t.Error("expected error outside any module")
+	}
+}
+
+// A "/..." walk stops at any subdirectory with its own go.mod, the go
+// list rule: a nested module is a separate build, not part of this one.
+func TestLoadSkipsNestedModules(t *testing.T) {
+	root := t.TempDir()
+	for path, content := range map[string]string{
+		"go.mod":            "module example.com/outer\n",
+		"a/a.go":            "package a\n",
+		"nested/go.mod":     "module example.com/nested\n",
+		"nested/b.go":       "package nested\n",
+		"nested/sub/sub.go": "package sub\n",
+	} {
+		full := filepath.Join(root, filepath.FromSlash(path))
+		if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(full, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prog, err := Load(root, "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for path := range prog.byPath {
+		got = append(got, path)
+	}
+	if len(got) != 1 || got[0] != "example.com/outer/a" {
+		t.Errorf("loaded %v, want only example.com/outer/a", got)
 	}
 }

@@ -1,5 +1,6 @@
-// Package metricsfix is the metricsdiscipline fixture: publishers must
-// hold pre-registered obs cells by value; the registry is setup-side.
+// Package metricsfix is the sinkdiscipline metrics fixture: publishers
+// must hold pre-registered obs cells by value; the registry is
+// setup-side.
 package metricsfix
 
 import "repro/internal/obs"

@@ -1,6 +1,6 @@
-// Package recfix is the recdiscipline fixture: hot-path code touches
-// the flight recorder only through Emit and Stamp; construction,
-// sealing and export are setup/reader-side.
+// Package recfix is the sinkdiscipline recorder fixture: hot-path code
+// touches the flight recorder only through Emit and Stamp;
+// construction, sealing and export are setup/reader-side.
 package recfix
 
 import (

@@ -36,7 +36,7 @@ import (
 type Spec struct {
 	// Engines are survey registry keys (core.Entry); default all.
 	Engines []string `json:"engines"`
-	// Workloads are trace generator names (trace.Generators); default
+	// Workloads are trace generator names (trace.Sources); default
 	// the standard five-workload set.
 	Workloads []string `json:"workloads"`
 	// Refs are trace lengths to sweep; default {core.DefaultRefs}.

@@ -201,20 +201,9 @@ func WorkloadSources(refs int) []trace.RefSource {
 	return out
 }
 
-// Workloads returns the same standard set fully materialized — the
-// convenient form for small experiments and tests.
-func Workloads(refs int) []*trace.Trace {
-	srcs := WorkloadSources(refs)
-	out := make([]*trace.Trace, len(srcs))
-	for i, src := range srcs {
-		out[i] = trace.Drain(src)
-	}
-	return out
-}
-
 // MeasureOverhead runs eng against the baseline on src with the
 // standard system configuration and returns the fractional overhead.
-// Both a streaming source and a materialized *trace.Trace satisfy src.
+// Both a streaming source and a drained *trace.Trace satisfy src.
 func MeasureOverhead(eng edu.Engine, src trace.RefSource) (float64, error) {
 	base, with, err := soc.Compare(soc.DefaultConfig(), eng, src)
 	if err != nil {

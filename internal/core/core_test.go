@@ -69,12 +69,13 @@ func TestBuildReturnsFreshEngines(t *testing.T) {
 }
 
 func TestWorkloadsSet(t *testing.T) {
-	ws := Workloads(1000)
+	ws := WorkloadSources(1000)
 	if len(ws) != 5 {
 		t.Fatalf("%d workloads", len(ws))
 	}
 	names := map[string]bool{}
-	for _, w := range ws {
+	for _, src := range ws {
+		w := trace.Drain(src)
 		if len(w.Refs) != 1000 {
 			t.Errorf("%s: %d refs", w.Name, len(w.Refs))
 		}
@@ -90,7 +91,7 @@ func TestMeasureOverheadPositiveForCostlyEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := trace.Sequential(trace.Config{Refs: 5000, Seed: 1, LoadFraction: 0.4, WriteFraction: 0.3})
+	tr := trace.SequentialSource(trace.Config{Refs: 5000, Seed: 1, LoadFraction: 0.4, WriteFraction: 0.3})
 	ov, err := MeasureOverhead(eng, tr)
 	if err != nil {
 		t.Fatal(err)

@@ -38,7 +38,7 @@ func E1SurveyTable(refs int) (*Table, error) {
 		PaperClaim: "qualitative §3 catalogue; per-engine claims in their own experiments",
 		Header:     []string{"engine", "cipher", "blk(bits)", "gates", "overhead", "claimed"},
 	}
-	tr := trace.Sequential(trace.Config{Refs: refs, Seed: 11, LoadFraction: 0.35, WriteFraction: 0.3, JumpRate: 0.03, Locality: 0.7})
+	tr := trace.SequentialSource(trace.Config{Refs: refs, Seed: 11, LoadFraction: 0.35, WriteFraction: 0.3, JumpRate: 0.03, Locality: 0.7})
 	for _, entry := range Survey() {
 		eng, err := entry.Build()
 		if err != nil {
@@ -91,9 +91,9 @@ func E2StreamVsBlock(refs int) (*Table, error) {
 		return nil, err
 	}
 
-	workloads := []*trace.Trace{
-		trace.CodeOnly(trace.Config{Refs: refs, Seed: 12, JumpRate: 0.02}),
-		trace.PointerChase(trace.Config{Refs: refs, Seed: 14, DataSize: 8 << 20}),
+	workloads := []trace.RefSource{
+		trace.CodeOnlySource(trace.Config{Refs: refs, Seed: 12, JumpRate: 0.02}),
+		trace.PointerChaseSource(trace.Config{Refs: refs, Seed: 14, DataSize: 8 << 20}),
 	}
 	for _, eng := range []edu.Engine{streamEng, iterative, ctr} {
 		for _, tr := range workloads {
@@ -103,7 +103,7 @@ func E2StreamVsBlock(refs int) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			t.AddRow(eng.Name(), tr.Name, fmt.Sprintf("%.2f%%", 100*ov))
+			t.AddRow(eng.Name(), tr.Label(), fmt.Sprintf("%.2f%%", 100*ov))
 		}
 	}
 	t.Notes = append(t.Notes,
@@ -123,7 +123,7 @@ func E3WritePenalty(refs int) (*Table, error) {
 		Header:     []string{"write fraction", "engine", "RMW events", "overhead"},
 	}
 	for _, wf := range []float64{0.1, 0.3, 0.5, 0.7} {
-		tr := trace.Sequential(trace.Config{
+		tr := trace.SequentialSource(trace.Config{
 			Refs: refs, Seed: 21, LoadFraction: 0.4, WriteFraction: wf, JumpRate: 0.02, Locality: 0.5,
 		})
 		cfg := soc.DefaultConfig()
@@ -253,7 +253,7 @@ func E5CBCRandomAccess(refs int) (*Table, error) {
 		Header:     []string{"jump rate", "gi-3des-cbc overhead", "xom-ecb overhead", "cbc/ecb ratio"},
 	}
 	for _, jr := range []float64{0.0, 0.02, 0.05, 0.1, 0.2} {
-		tr := trace.CodeOnly(trace.Config{Refs: refs, Seed: 31, JumpRate: jr, CodeSize: 4 << 20})
+		tr := trace.CodeOnlySource(trace.Config{Refs: refs, Seed: 31, JumpRate: jr, CodeSize: 4 << 20})
 
 		gi, err := products.NewGeneralInstrument([]byte("0123456789abcdef01234567"), []byte("mac-key!"))
 		if err != nil {
@@ -314,9 +314,9 @@ func E6Aegis(refs int) (*Table, error) {
 			WholeLineStall: whole,
 		})
 	}
-	workloads := []*trace.Trace{
-		trace.PointerChase(trace.Config{Refs: refs, Seed: 14, DataSize: 8 << 20}),
-		trace.Sequential(trace.Config{Refs: refs, Seed: 11, LoadFraction: 0.35, WriteFraction: 0.3, JumpRate: 0.03, Locality: 0.7}),
+	workloads := []trace.RefSource{
+		trace.PointerChaseSource(trace.Config{Refs: refs, Seed: 14, DataSize: 8 << 20}),
+		trace.SequentialSource(trace.Config{Refs: refs, Seed: 11, LoadFraction: 0.35, WriteFraction: 0.3, JumpRate: 0.03, Locality: 0.7}),
 	}
 	variants := []struct {
 		whole bool
@@ -332,7 +332,7 @@ func E6Aegis(refs int) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			t.AddRow(eng.Name(), tr.Name, fmt.Sprintf("%.1f%%", 100*ov), eng.Gates())
+			t.AddRow(eng.Name(), tr.Label(), fmt.Sprintf("%.1f%%", 100*ov), eng.Gates())
 		}
 	}
 
@@ -411,7 +411,7 @@ func E8Gilmont(refs int) (*Table, error) {
 		{16 << 10, 0.0}, {16 << 10, 0.10},
 	}
 	for _, p := range points {
-		tr := trace.CodeOnly(trace.Config{Refs: refs, Seed: 41, JumpRate: p.jr, CodeSize: p.size})
+		tr := trace.CodeOnlySource(trace.Config{Refs: refs, Seed: 41, JumpRate: p.jr, CodeSize: p.size})
 		eng, err := gilmont.New(gilmont.Config{
 			Key: []byte("0123456789abcdef01234567"), CodeLimit: CodeLimit, Gates: products.GilmontGates,
 		})
@@ -488,7 +488,7 @@ func E10CodePack(refs int) (*Table, error) {
 	// per decoded instruction (CodePack's unit was not core-speed).
 	codec.DecodeCyclesPerInstr = 2
 
-	tr := trace.CodeOnly(trace.Config{Refs: refs, Seed: 51, JumpRate: 0.03, CodeSize: 2 << 20})
+	tr := trace.CodeOnlySource(trace.Config{Refs: refs, Seed: 51, JumpRate: 0.03, CodeSize: 2 << 20})
 	memories := []struct {
 		name    string
 		busDiv  int
@@ -609,7 +609,7 @@ func E12CompressThenEncrypt(refs int) (*Table, error) {
 	// measured in the memory regime where the proposal aims (external
 	// memory slow relative to the core — the common embedded case; E10
 	// shows compression loses on fast memory).
-	tr := trace.CodeOnly(trace.Config{Refs: refs, Seed: 61, JumpRate: 0.03, CodeSize: 2 << 20})
+	tr := trace.CodeOnlySource(trace.Config{Refs: refs, Seed: 61, JumpRate: 0.03, CodeSize: 2 << 20})
 	cfg := soc.DefaultConfig()
 	cfg.Bus.ClockDivider = 4
 	cfg.DRAM.ClockDivider = 6

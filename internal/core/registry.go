@@ -18,8 +18,8 @@ type Experiment struct {
 }
 
 // Experiments returns the full experiment index in suite order. This is
-// the single registry the survey CLI, the campaign scheduler, and the
-// root benchmarks all drive, so an experiment added here appears
+// the single registry the campaign scheduler (`sweep -suite`) and the
+// root benchmarks drive, so an experiment added here appears
 // everywhere.
 func Experiments() []Experiment {
 	return []Experiment{

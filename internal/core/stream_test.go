@@ -10,7 +10,7 @@ import (
 // Streaming is not allowed to change a single measured number: for
 // every registered engine, driving soc.Compare with a streaming
 // RefSource must produce reports identical to driving it with the
-// materialized *trace.Trace built from the same trace.Config.
+// *trace.Trace drained from the same trace.Config.
 func TestStreamingReportsMatchMaterializedForAllEngines(t *testing.T) {
 	tcfg := trace.Config{
 		Refs: 6000, Seed: 41,
@@ -22,7 +22,7 @@ func TestStreamingReportsMatchMaterializedForAllEngines(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			baseM, withM, err := soc.Compare(soc.DefaultConfig(), engM, trace.Sequential(tcfg))
+			baseM, withM, err := soc.Compare(soc.DefaultConfig(), engM, trace.Drain(trace.SequentialSource(tcfg)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -46,28 +46,26 @@ func TestStreamingReportsMatchMaterializedForAllEngines(t *testing.T) {
 	}
 }
 
-// The standard workload set must measure identically in both forms.
+// The standard workload set must measure identically streamed and
+// drained.
 func TestWorkloadSourcesMatchWorkloads(t *testing.T) {
 	const refs = 4000
-	mats := Workloads(refs)
 	srcs := WorkloadSources(refs)
-	if len(mats) != len(srcs) {
-		t.Fatalf("%d materialized workloads vs %d sources", len(mats), len(srcs))
-	}
-	for i := range srcs {
-		if srcs[i].Label() != mats[i].Name {
-			t.Errorf("workload %d: label %q != name %q", i, srcs[i].Label(), mats[i].Name)
+	for i, src := range WorkloadSources(refs) {
+		mat := trace.Drain(src)
+		if srcs[i].Label() != mat.Name {
+			t.Errorf("workload %d: label %q != name %q", i, srcs[i].Label(), mat.Name)
 		}
 		sM, err := soc.New(soc.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		repM := sM.Run(mats[i])
+		repM := sM.Run(mat)
 		sS, _ := soc.New(soc.DefaultConfig())
 		repS := sS.Run(srcs[i])
 		if repM != repS {
 			t.Errorf("workload %s: reports differ:\n materialized %+v\n streaming    %+v",
-				mats[i].Name, repM, repS)
+				mat.Name, repM, repS)
 		}
 	}
 }

@@ -62,8 +62,9 @@ func TestRoundsPerKeySize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ci.Rounds() != c.rounds {
-			t.Errorf("key len %d: rounds = %d, want %d", c.keyLen, ci.Rounds(), c.rounds)
+		if ci.rounds != c.rounds || len(ci.enc) != 4*(c.rounds+1) {
+			t.Errorf("key len %d: rounds = %d with %d round-key words, want %d rounds",
+				c.keyLen, ci.rounds, len(ci.enc), c.rounds)
 		}
 		if ci.BlockSize() != 16 {
 			t.Errorf("BlockSize = %d, want 16", ci.BlockSize())
@@ -124,58 +125,11 @@ func TestEncryptDecryptInverse(t *testing.T) {
 	}
 }
 
-// TestRoundAPIMatchesWholeBlock drives the per-round pipeline API and
-// checks it produces the identical ciphertext to Encrypt.
-func TestRoundAPIMatchesWholeBlock(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, keyLen := range []int{16, 24, 32} {
-		key := make([]byte, keyLen)
-		rng.Read(key)
-		ci, err := New(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for trial := 0; trial < 50; trial++ {
-			pt := make([]byte, 16)
-			rng.Read(pt)
-			want := make([]byte, 16)
-			ci.Encrypt(want, pt)
-
-			rs := ci.BeginEncrypt(pt)
-			steps := 0
-			for !ci.EncryptRound(rs) {
-				steps++
-			}
-			steps++ // the completing round
-			if steps != ci.Rounds() {
-				t.Fatalf("round API took %d steps, want %d", steps, ci.Rounds())
-			}
-			got := make([]byte, 16)
-			ci.Finish(rs, got)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("round API mismatch: got %x want %x", got, want)
-			}
-		}
-	}
-}
-
-func TestFinishEarlyPanics(t *testing.T) {
-	ci, _ := New(make([]byte, 16))
-	rs := ci.BeginEncrypt(make([]byte, 16))
-	defer func() {
-		if recover() == nil {
-			t.Error("Finish before final round did not panic")
-		}
-	}()
-	ci.Finish(rs, make([]byte, 16))
-}
-
 func TestShortInputPanics(t *testing.T) {
 	ci, _ := New(make([]byte, 16))
 	for name, f := range map[string]func(){
 		"Encrypt": func() { ci.Encrypt(make([]byte, 16), make([]byte, 15)) },
 		"Decrypt": func() { ci.Decrypt(make([]byte, 16), make([]byte, 15)) },
-		"Begin":   func() { ci.BeginEncrypt(make([]byte, 15)) },
 	} {
 		func() {
 			defer func() {

@@ -139,6 +139,6 @@ func (c *Cipher) DecryptAt(addr uint64, dst, src []byte) {
 }
 
 // BlockSizeBytes reports the cipher's block size; the name avoids
-// clashing with the Block interface's BlockSize while making clear this
-// cipher is address-dependent and so does not satisfy modes.Block.
+// clashing with crypto/cipher.Block's BlockSize while making clear this
+// cipher is address-dependent and so does not satisfy that interface.
 func (c *Cipher) BlockSizeBytes() int { return BlockSize }

@@ -5,32 +5,27 @@
 // per-cache-block CBC whose initialization vector is derived from the
 // block address plus a random value or a write counter.
 //
-// All modes operate on whole multiples of the cipher's block size; the
+// Every mode takes its cipher as a crypto/cipher.Block, which both the
+// in-repo AES/DES cores and the standard library's ciphers satisfy. All
+// modes operate on whole multiples of the cipher's block size; the
 // bus-engine layer is responsible for the read-modify-write dance on
 // partial writes (that cost is exactly what experiment E3 measures).
 package modes
 
 import (
+	"crypto/cipher"
 	"encoding/binary"
 	"fmt"
 )
-
-// Block is the block-cipher contract all modes consume. Both the local
-// AES/DES implementations and crypto/cipher.Block satisfy it.
-type Block interface {
-	BlockSize() int
-	Encrypt(dst, src []byte)
-	Decrypt(dst, src []byte)
-}
 
 // ECB is Electronic CodeBook: each block enciphered independently.
 // Deterministic — identical plaintext blocks produce identical
 // ciphertext blocks, the weakness §2.2 of the survey calls out and
 // experiment E4 quantifies.
-type ECB struct{ b Block }
+type ECB struct{ b cipher.Block }
 
 // NewECB wraps b in ECB mode.
-func NewECB(b Block) *ECB { return &ECB{b} }
+func NewECB(b cipher.Block) *ECB { return &ECB{b} }
 
 func checkLen(n, bs int) {
 	if n%bs != 0 {
@@ -61,12 +56,12 @@ func (e *ECB) Decrypt(dst, src []byte) {
 // is why the survey notes its use "proves limited in a processor-memory
 // system due to the random data access problem (JUMP instructions)".
 type CBC struct {
-	b  Block
+	b  cipher.Block
 	iv []byte
 }
 
 // NewCBC wraps b in CBC mode with the given IV (length = block size).
-func NewCBC(b Block, iv []byte) (*CBC, error) {
+func NewCBC(b cipher.Block, iv []byte) (*CBC, error) {
 	if b.BlockSize() > maxBlockSize {
 		return nil, fmt.Errorf("modes: block size %d exceeds %d", b.BlockSize(), maxBlockSize)
 	}
@@ -80,7 +75,7 @@ func NewCBC(b Block, iv []byte) (*CBC, error) {
 // plaintext block with the previous ciphertext block (iv first) into
 // scratch (a block-size buffer the caller owns — stack or persistent,
 // which is what keeps the hot path allocation-free), then encipher.
-func cbcEncrypt(b Block, iv, scratch, dst, src []byte) {
+func cbcEncrypt(b cipher.Block, iv, scratch, dst, src []byte) {
 	bs := b.BlockSize()
 	checkLen(len(src), bs)
 	prev := iv
@@ -95,7 +90,7 @@ func cbcEncrypt(b Block, iv, scratch, dst, src []byte) {
 
 // cbcDecrypt is the one copy of the CBC decryption chain. dst and src
 // must not alias: the chain needs the previous *ciphertext* block.
-func cbcDecrypt(b Block, iv, dst, src []byte) {
+func cbcDecrypt(b cipher.Block, iv, dst, src []byte) {
 	bs := b.BlockSize()
 	checkLen(len(src), bs)
 	prev := iv
@@ -154,7 +149,7 @@ const (
 // access — while chaining inside the block keeps CBC's diffusion.
 // IV(blockAddr) = E_K(addr ‖ salt) where salt is random or a counter.
 type BlockCBC struct {
-	b        Block
+	b        cipher.Block
 	mode     IVMode
 	salt     uint64            // random vector (IVRandom)
 	counters map[uint64]uint64 // per-address write counters (IVCounter)
@@ -170,7 +165,7 @@ const maxBlockSize = 64
 
 // NewBlockCBC builds an AEGIS-style per-cache-block CBC engine. salt
 // seeds the random-vector variant and the initial counter value.
-func NewBlockCBC(b Block, mode IVMode, salt uint64) *BlockCBC {
+func NewBlockCBC(b cipher.Block, mode IVMode, salt uint64) *BlockCBC {
 	if b.BlockSize() > maxBlockSize {
 		panic(fmt.Sprintf("modes: block size %d exceeds %d", b.BlockSize(), maxBlockSize))
 	}
@@ -235,7 +230,7 @@ func (a *BlockCBC) DecryptBlockAt(addr uint64, dst, src []byte) {
 // external memory — this is the property that lets a block cipher behave
 // like a stream cipher on the bus (experiment E2's winning configuration).
 type CTR struct {
-	b     Block
+	b     cipher.Block
 	nonce uint64
 	// Scratch so the per-block pad generation does not allocate; a CTR
 	// is a single hardware unit and is not goroutine-safe.
@@ -244,7 +239,7 @@ type CTR struct {
 
 // NewCTR builds a CTR pad generator keyed by b with a fixed nonce mixed
 // into every counter block.
-func NewCTR(b Block, nonce uint64) *CTR {
+func NewCTR(b cipher.Block, nonce uint64) *CTR {
 	if b.BlockSize() > maxBlockSize {
 		panic(fmt.Sprintf("modes: block size %d exceeds %d", b.BlockSize(), maxBlockSize))
 	}

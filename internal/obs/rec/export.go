@@ -3,7 +3,7 @@
 // writers iterate slices in order, never maps — because traced sweeps
 // inherit the campaign's contract that -jobs 1 and -jobs 8 emit
 // identical bytes. Never reachable from //repro:hotpath roots
-// (reprolint recdiscipline).
+// (reprolint sinkdiscipline).
 //
 //repro:deterministic
 package rec

@@ -18,7 +18,7 @@
 // Reader side (after or between runs): Seal copies the ring out into a
 // Stream in sequence order; exporters (Chrome trace_event JSON, CSV)
 // and the decoder live in export.go/decode.go and must never be
-// reachable from //repro:hotpath roots — reprolint's recdiscipline
+// reachable from //repro:hotpath roots — reprolint's sinkdiscipline
 // analyzer enforces exactly that split.
 //
 //repro:deterministic
@@ -272,7 +272,7 @@ type Stream struct {
 
 // Seal copies the ring out into a Stream in sequence order. Reader
 // side: allocates, must not be called from the hot path (enforced by
-// reprolint's recdiscipline analyzer).
+// reprolint's sinkdiscipline analyzer).
 func (r *Recorder) Seal(track string) Stream {
 	st := Stream{Track: track}
 	if r == nil || r.seq == 0 {

@@ -48,7 +48,9 @@ type Status struct {
 
 // sweepJob is one admitted sweep: its runner (sharing the server
 // store), its private metrics registry, the canonical-order result
-// re-sequencer the NDJSON stream reads, and the final report.
+// re-sequencer the NDJSON stream reads, and the final report. Once the
+// sweep finishes, release keeps only what a finished sweep serves: the
+// report, the trace, and a status snapshot.
 type sweepJob struct {
 	id     string
 	spec   campaign.Spec
@@ -71,6 +73,9 @@ type sweepJob struct {
 	notify chan struct{}
 	report *campaign.Report
 	err    error
+	// final is the status sampled at release; status serves it once
+	// the runner and registry are gone (reg == nil).
+	final Status
 }
 
 func newSweepJob(id string, runner *campaign.Runner, reg *obs.Registry) *sweepJob {
@@ -155,23 +160,41 @@ func (j *sweepJob) finished() bool {
 	return j.report != nil
 }
 
+// release snapshots the status of a finished job, then drops the
+// runner, its metrics registry, the task plan and the done flags, which
+// only a running sweep needs.
+func (j *sweepJob) release() {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.final = j.statusLocked()
+	j.runner, j.reg, j.tasks, j.done = nil, nil, nil, nil
+}
+
 // status samples the job for GET /sweeps/{id}.
 func (j *sweepJob) status() Status {
 	j.mu.Lock()
-	state, avail, nTasks := j.state, j.avail, len(j.tasks)
+	defer j.mu.Unlock()
+	if j.reg == nil {
+		return j.final
+	}
+	return j.statusLocked()
+}
+
+// statusLocked samples the live job; callers hold j.mu.
+func (j *sweepJob) statusLocked() Status {
+	nTasks := len(j.tasks)
+	if j.state == StateQueued {
+		nTasks = j.spec.Size()
+	}
 	var errStr string
 	if j.err != nil {
 		errStr = j.err.Error()
 	}
-	j.mu.Unlock()
-	if state == StateQueued {
-		nTasks = j.spec.Size()
-	}
 	return Status{
 		ID:          j.id,
-		State:       state,
+		State:       j.state,
 		Tasks:       nTasks,
-		Rows:        avail,
+		Rows:        j.avail,
 		TasksDone:   j.reg.Counter("campaign.tasks_done").Load(),
 		TaskErrors:  j.reg.Counter("campaign.task_errors").Load(),
 		MemoHits:    j.reg.Counter("campaign.memo_hits").Load(),

@@ -239,7 +239,8 @@ func (s *Server) dispatch() {
 // runJob expands the sweep and submits each task to the shared pool in
 // expansion order, stopping at cancellation. The per-task closures run
 // Runner.Exec, which fires the job's record hook; after the last
-// submitted task drains, the job finalizes into its canonical report.
+// submitted task drains, the job finalizes into its canonical report
+// and releases its running state.
 func (s *Server) runJob(j *sweepJob) {
 	j.begin(j.runner.Plan())
 	var wg sync.WaitGroup
@@ -263,6 +264,7 @@ func (s *Server) runJob(j *sweepJob) {
 	}
 	wg.Wait()
 	j.finalize()
+	j.release()
 	if j.ctx.Err() != nil {
 		s.canceled.Inc()
 	} else {

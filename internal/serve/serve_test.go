@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/obs"
 )
 
 // startServer builds a fabric + HTTP front end and tears both down
@@ -539,4 +540,45 @@ func ExampleServer() {
 	resp.Body.Close()
 	fmt.Println("admitted:", st.State)
 	// Output: admitted: queued
+}
+
+// A finished sweep keeps only its report, trace and a status snapshot:
+// release must not change the status a client sees, and must drop the
+// runner, the per-sweep registry, the plan and the done flags.
+func TestFinishedSweepReleasesRunningState(t *testing.T) {
+	spec, err := campaign.ParseSpecJSON(strings.NewReader(
+		`{"engines":["aegis","xom"],"workloads":["sequential"],"refs":[2000]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	runner, err := campaign.NewRunnerWith(spec, campaign.NewStore())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner.Observe(campaign.NewMetrics(reg))
+	j := newSweepJob("s1-release", runner, reg)
+	runner.OnResult(j.record)
+	j.begin(runner.Plan())
+	for _, task := range j.tasks {
+		runner.Exec(task)
+	}
+	j.finalize()
+
+	before := j.status()
+	j.release()
+	after := j.status()
+	if before != after {
+		t.Errorf("status changed across release:\n before %+v\n after  %+v", before, after)
+	}
+	if before.State != StateDone || before.Tasks != 2 || before.Rows != 2 ||
+		before.TasksDone != 2 || before.RefsDone == 0 || before.RefsPlanned == 0 {
+		t.Errorf("finished status incomplete: %+v", before)
+	}
+	if j.runner != nil || j.reg != nil || j.tasks != nil || j.done != nil {
+		t.Error("released job still holds its runner, registry, plan or done flags")
+	}
+	if j.report == nil || len(j.report.Results) != 2 {
+		t.Error("release dropped the report")
+	}
 }

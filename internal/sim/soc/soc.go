@@ -74,12 +74,6 @@ type Config struct {
 	// address. The attack schedule uses it to measure detection
 	// latency.
 	OnViolation func(refIndex, lineAddr uint64)
-	// SkipFinalFlush disables the end-of-run drain of dirty cache
-	// lines. The default (false) spills every dirty line when Run
-	// finishes and folds the cycles into the report, so writeback
-	// traffic is fully accounted; Compare flushes both systems, keeping
-	// the overhead comparison apples-to-apples.
-	SkipFinalFlush bool
 	// Metrics, when non-nil, installs live observability: the hot loop
 	// publishes into the bundle's pre-registered atomic metrics with
 	// zero allocations per reference (the obs fixed-registry contract).
@@ -802,16 +796,17 @@ func (s *SoC) Run(src trace.RefSource) Report {
 		s.m.Cycles.Add(rep.Cycles - cyclesBefore)
 	}
 
-	if !s.cfg.SkipFinalFlush {
-		preFlush := rep.Cycles
-		s.flushing = true
-		for _, ev := range s.hier.Flush() {
-			s.processEvent(ev, &rep)
-			rep.FlushedLines++
-		}
-		s.flushing = false
-		s.m.Cycles.Add(rep.Cycles - preFlush)
+	// Spill every dirty line and fold its cycles into the report, so
+	// writeback traffic is fully accounted; Compare flushes both
+	// systems, keeping the overhead comparison apples-to-apples.
+	preFlush := rep.Cycles
+	s.flushing = true
+	for _, ev := range s.hier.Flush() {
+		s.processEvent(ev, &rep)
+		rep.FlushedLines++
 	}
+	s.flushing = false
+	s.m.Cycles.Add(rep.Cycles - preFlush)
 
 	rep.Cache = s.cache.Stats()
 	if s.l2 != nil {

@@ -43,7 +43,7 @@ func (f fixedEngine) WriteExtraCycles(uint64, int) uint64        { return f.writ
 func (f fixedEngine) NeedsRMW(n int) bool                        { return n < f.block }
 
 func smallTrace() *trace.Trace {
-	return trace.Sequential(trace.Config{Refs: 5000, Seed: 1, LoadFraction: 0.4, WriteFraction: 0.3, JumpRate: 0.02, Locality: 0.6})
+	return trace.Drain(trace.SequentialSource(trace.Config{Refs: 5000, Seed: 1, LoadFraction: 0.4, WriteFraction: 0.3, JumpRate: 0.02, Locality: 0.6}))
 }
 
 func TestNewValidation(t *testing.T) {
@@ -280,38 +280,38 @@ func TestHotLoopZeroAllocs(t *testing.T) {
 }
 
 // End-of-run flush: dirty lines left in the cache must be spilled and
-// their traffic accounted, unless the config opts out.
+// their traffic accounted. Loads to the same lines leave nothing dirty,
+// so the store run's extra cycles and bus bytes are the flush alone.
 func TestFinalFlushAccounted(t *testing.T) {
-	run := func(skip bool) Report {
+	run := func(kind trace.Kind) Report {
 		cfg := DefaultConfig()
-		cfg.SkipFinalFlush = skip
 		cfg.Engine = fixedEngine{block: 16, writeCost: 5}
 		s, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Store to distinct lines, nothing evicted: all dirt survives
-		// to the end of the run.
+		// Touch distinct lines, nothing evicted: all dirt survives to
+		// the end of the run.
 		tr := &trace.Trace{Name: "dirty", Refs: []trace.Ref{
-			{Kind: trace.Store, Addr: 0x4000_0000, Size: 4},
-			{Kind: trace.Store, Addr: 0x4000_0020, Size: 4},
-			{Kind: trace.Store, Addr: 0x4000_0040, Size: 4},
+			{Kind: kind, Addr: 0x4000_0000, Size: 4},
+			{Kind: kind, Addr: 0x4000_0020, Size: 4},
+			{Kind: kind, Addr: 0x4000_0040, Size: 4},
 		}}
 		return s.Run(tr)
 	}
-	flushed := run(false)
-	skipped := run(true)
+	flushed := run(trace.Store)
+	clean := run(trace.Load)
 	if flushed.FlushedLines != 3 {
 		t.Errorf("flushed %d lines, want 3", flushed.FlushedLines)
 	}
-	if skipped.FlushedLines != 0 {
-		t.Errorf("SkipFinalFlush still flushed %d lines", skipped.FlushedLines)
+	if clean.FlushedLines != 0 {
+		t.Errorf("clean run flushed %d lines, want 0", clean.FlushedLines)
 	}
-	if flushed.Cycles <= skipped.Cycles {
-		t.Errorf("flush cycles not folded in: %d <= %d", flushed.Cycles, skipped.Cycles)
+	if flushed.Cycles <= clean.Cycles {
+		t.Errorf("flush cycles not folded in: %d <= %d", flushed.Cycles, clean.Cycles)
 	}
-	if flushed.BusBytes <= skipped.BusBytes {
-		t.Errorf("flush writeback traffic not on the bus: %d <= %d", flushed.BusBytes, skipped.BusBytes)
+	if flushed.BusBytes <= clean.BusBytes {
+		t.Errorf("flush writeback traffic not on the bus: %d <= %d", flushed.BusBytes, clean.BusBytes)
 	}
 	if flushed.EngineStalls == 0 {
 		t.Error("flush spills paid no engine write cost")
@@ -368,7 +368,7 @@ func TestWriteThroughPreservesDRAM(t *testing.T) {
 	}
 }
 
-// A streaming source and its materialized trace must drive the SoC to
+// A streaming source and its drained trace must drive the SoC to
 // the same report.
 func TestStreamMatchesMaterialized(t *testing.T) {
 	tcfg := trace.Config{Refs: 8000, Seed: 5, LoadFraction: 0.4, WriteFraction: 0.3, JumpRate: 0.03, Locality: 0.6}
@@ -382,7 +382,7 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 	repStream := sA.Run(trace.SequentialSource(tcfg))
 
 	sB, _ := New(cfg)
-	repMat := sB.Run(trace.Sequential(tcfg))
+	repMat := sB.Run(trace.Drain(trace.SequentialSource(tcfg)))
 	if repStream != repMat {
 		t.Errorf("stream report differs from materialized:\n stream %+v\n mater  %+v", repStream, repMat)
 	}

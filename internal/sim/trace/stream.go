@@ -1,10 +1,7 @@
-// Streaming reference sources: the constant-memory form of every
-// workload generator. Each source is a resumable state machine that
-// draws from its RNG in exactly the order the materialized generators
-// historically did, so a drained source and a streamed source are
-// reference-for-reference identical for the same Config. The
-// materialized constructors in trace.go are thin Drain wrappers over
-// these — the stream is the canonical implementation.
+// Streaming reference sources: every workload generator is a resumable
+// state machine producing references on demand, so a workload needs no
+// more memory than its generator state. Drain materializes one where a
+// caller needs the whole slice.
 //
 //repro:deterministic
 package trace
@@ -31,9 +28,9 @@ type RefSource interface {
 	Reset()
 }
 
-// Sources is the registry of named streaming workloads, keyed exactly
-// like Generators; the campaign sweeps and the CLIs draw from it so
-// trace length is bounded by hardware speed, not RAM.
+// Sources is the registry of named streaming workloads, keyed by the
+// label each source reports; the campaign sweeps and the CLIs draw from
+// it so trace length is bounded by hardware speed, not RAM.
 var Sources = map[string]func(Config) RefSource{
 	"sequential":    SequentialSource,
 	"code-only":     CodeOnlySource,
@@ -106,7 +103,7 @@ func (b *streamBase) resetBase() bool {
 	return true
 }
 
-// seqSource streams the Sequential workload.
+// seqSource streams the sequential workload.
 type seqSource struct {
 	streamBase
 	cfg     Config
@@ -116,7 +113,8 @@ type seqSource struct {
 	hasPend bool
 }
 
-// SequentialSource returns the streaming form of Sequential.
+// SequentialSource streams straight-line code with occasional jumps and
+// a configurable mix of data accesses; the general-purpose workload.
 func SequentialSource(cfg Config) RefSource {
 	cfg.fill()
 	return &seqSource{
@@ -127,8 +125,10 @@ func SequentialSource(cfg Config) RefSource {
 	}
 }
 
-// CodeOnlySource returns the streaming form of CodeOnly: Sequential
-// with the data knobs forced to zero.
+// CodeOnlySource streams pure instruction fetches (no loads/stores): the
+// static-code workload Gilmont's engine targets — "this work only
+// addresses static code ciphering". It is SequentialSource with the data
+// knobs forced to zero.
 func CodeOnlySource(cfg Config) RefSource {
 	cfg.LoadFraction = 0
 	cfg.WriteFraction = 0
@@ -137,7 +137,7 @@ func CodeOnlySource(cfg Config) RefSource {
 	return s
 }
 
-// FirmwareSource returns a microcontroller-class Sequential stream: a
+// FirmwareSource returns a microcontroller-class sequential stream: a
 // 16 KiB code loop over a 32 KiB hot data set — the footprint of the
 // survey's secured embedded parts, and the regime where active-attack
 // detection latency is measurable (tampered lines actually cycle back
@@ -207,7 +207,7 @@ func (s *seqSource) Reset() {
 	s.hasPend = false
 }
 
-// strideSource streams the Streaming workload.
+// strideSource streams the streaming workload.
 type strideSource struct {
 	streamBase
 	cfg     Config
@@ -217,7 +217,9 @@ type strideSource struct {
 	hasPend bool
 }
 
-// StreamingSource returns the streaming form of Streaming.
+// StreamingSource streams long unit-stride data scans (memcpy-like) with
+// sparse control: the friendliest case for prefetch and pipelined
+// deciphering.
 func StreamingSource(cfg Config) RefSource {
 	cfg.fill()
 	return &strideSource{
@@ -270,7 +272,7 @@ func (s *strideSource) Reset() {
 	s.hasPend = false
 }
 
-// chaseSource streams the PointerChase workload.
+// chaseSource streams the pointer-chase workload.
 type chaseSource struct {
 	streamBase
 	cfg     Config
@@ -279,7 +281,9 @@ type chaseSource struct {
 	hasPend bool
 }
 
-// PointerChaseSource returns the streaming form of PointerChase.
+// PointerChaseSource streams dependent random loads (linked-list
+// traversal): the workload with no latency-hiding opportunity, worst case
+// for any deciphering latency on the miss path.
 func PointerChaseSource(cfg Config) RefSource {
 	cfg.fill()
 	return &chaseSource{
@@ -323,7 +327,7 @@ func (s *chaseSource) Reset() {
 	s.hasPend = false
 }
 
-// matrixSource streams the MatrixLike workload.
+// matrixSource streams the matrix-like workload.
 type matrixSource struct {
 	streamBase
 	cfg      Config
@@ -334,7 +338,9 @@ type matrixSource struct {
 	pendI    int
 }
 
-// MatrixLikeSource returns the streaming form of MatrixLike.
+// MatrixLikeSource streams blocked row/column sweeps over a square matrix
+// region: moderate locality, balanced loads and stores — the numeric
+// kernel stand-in.
 func MatrixLikeSource(cfg Config) RefSource {
 	cfg.fill()
 	return &matrixSource{
@@ -401,9 +407,9 @@ func (s *matrixSource) Reset() {
 	s.pendI, s.pendN = 0, 0
 }
 
-// multiSource streams the MultiProcess workload: per-process Sequential
+// multiSource streams the multi-process workload: per-process sequential
 // substreams advanced lazily a quantum at a time, so the whole workload
-// is O(Procs) state instead of O(Procs x Refs) materialized slices.
+// is O(Procs) state.
 type multiSource struct {
 	cfg      MultiProcessConfig
 	explicit bool
@@ -414,7 +420,8 @@ type multiSource struct {
 	emitted  int
 }
 
-// MultiProcessSource returns the streaming form of MultiProcess.
+// MultiProcessSource streams the round-robin multitasking workload
+// MultiProcessConfig describes.
 func MultiProcessSource(cfg MultiProcessConfig) RefSource {
 	cfg.fillMP()
 	cfg.Config.fill()
@@ -426,8 +433,7 @@ func MultiProcessSource(cfg MultiProcessConfig) RefSource {
 	return m
 }
 
-// subSource builds process p's confined Sequential substream, seeded
-// exactly as the materialized generator seeds it.
+// subSource builds process p's confined sequential substream.
 func (m *multiSource) subSource(p int) *seqSource {
 	sub := m.cfg.Config
 	base, _ := m.cfg.ProcessRegion(p)
@@ -466,7 +472,7 @@ func (m *multiSource) Next() (Ref, bool) {
 		r, ok := m.subs[m.p].Next()
 		if !ok {
 			// Substream exhausted mid-quantum: the next process starts a
-			// fresh quantum, matching the materialized slicing.
+			// fresh quantum.
 			m.p = (m.p + 1) % m.cfg.Procs
 			m.inQuant = 0
 			continue

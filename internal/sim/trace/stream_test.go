@@ -2,16 +2,12 @@ package trace
 
 import "testing"
 
-// Every named source must exist in both registries under the same key.
-func TestSourcesAndGeneratorsKeysMatch(t *testing.T) {
-	for name := range Sources {
-		if _, ok := Generators[name]; !ok {
-			t.Errorf("source %q has no materialized generator", name)
-		}
-	}
-	for name := range Generators {
-		if _, ok := Sources[name]; !ok {
-			t.Errorf("generator %q has no streaming source", name)
+// Every registered source must label its stream with its registry key:
+// reports and the campaign store name workloads by that key.
+func TestSourcesKeyedByLabel(t *testing.T) {
+	for name, mk := range Sources {
+		if got := mk(Config{Refs: 1, Seed: 1}).Label(); got != name {
+			t.Errorf("Sources[%q] labels its stream %q", name, got)
 		}
 	}
 }
@@ -23,12 +19,11 @@ func streamCfg() Config {
 	}
 }
 
-// A source consumed ref-by-ref must equal the drained trace built from
-// the same config — the streaming and materialized forms are the same
-// workload.
+// A source consumed ref-by-ref must equal the trace Drain builds from
+// the same config — streamed and drained, it is the same workload.
 func TestStreamMatchesGenerator(t *testing.T) {
 	for name, mkSource := range Sources {
-		tr := Generators[name](streamCfg())
+		tr := Drain(mkSource(streamCfg()))
 		src := mkSource(streamCfg())
 		if src.Label() != tr.Name {
 			t.Errorf("%s: label %q != trace name %q", name, src.Label(), tr.Name)
@@ -89,15 +84,15 @@ func TestExplicitRandSourceSinglePass(t *testing.T) {
 	src.Reset()
 }
 
-// The multi-process stream must match its materialized form quantum for
-// quantum.
+// The multi-process stream must match its drained form quantum for
+// quantum, and replay to the same length.
 func TestMultiProcessSourceMatchesTrace(t *testing.T) {
 	cfg := MultiProcessConfig{
 		Config:  Config{Refs: 6000, Seed: 31, LoadFraction: 0.3, WriteFraction: 0.3},
 		Procs:   3,
 		Quantum: 250,
 	}
-	tr := MultiProcess(cfg)
+	tr := Drain(MultiProcessSource(cfg))
 	src := MultiProcessSource(cfg)
 	for i := range tr.Refs {
 		r, ok := src.Next()
@@ -116,7 +111,7 @@ func TestMultiProcessSourceMatchesTrace(t *testing.T) {
 
 // A *Trace is itself a RefSource: Next walks the slice, Reset rewinds.
 func TestTraceIsARefSource(t *testing.T) {
-	tr := Sequential(Config{Refs: 50, Seed: 2})
+	tr := Drain(SequentialSource(Config{Refs: 50, Seed: 2}))
 	var src RefSource = tr
 	n := 0
 	for {

@@ -49,12 +49,11 @@ type Ref struct {
 	Compute uint16 // compute cycles preceding this reference
 }
 
-// Trace is a fully materialized reference stream. It is the thin
-// in-memory adapter over the streaming sources (stream.go): small
-// workloads and tests hold a Trace, while long-running sweeps consume
-// the RefSource a generator config builds directly. A *Trace is itself
-// a RefSource (Label/Next/Reset over the slice), so every simulator
-// entry point accepts either form.
+// Trace is a reference stream held in memory: Drain builds one from a
+// source when a caller must index references or call Stats, and tests
+// write small ones by hand. A *Trace is itself a RefSource
+// (Label/Next/Reset over the slice), so every simulator entry point
+// accepts it.
 type Trace struct {
 	Name string
 	Refs []Ref
@@ -176,41 +175,6 @@ func NewRand(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }
 
-// rng resolves the generator's random source: the explicit Rand if the
-// caller threaded one through, else a fresh Seed-derived source.
-func (c *Config) rng() *rand.Rand {
-	if c.Rand != nil {
-		return c.Rand
-	}
-	return NewRand(c.Seed)
-}
-
-// Sequential generates straight-line code with occasional jumps and a
-// configurable mix of data accesses; the general-purpose workload.
-// Materialized form of SequentialSource.
-func Sequential(cfg Config) *Trace { return Drain(SequentialSource(cfg)) }
-
-// CodeOnly generates a pure instruction-fetch stream (no loads/stores):
-// the static-code workload Gilmont's engine targets — "this work only
-// addresses static code ciphering". Materialized form of CodeOnlySource.
-func CodeOnly(cfg Config) *Trace { return Drain(CodeOnlySource(cfg)) }
-
-// Streaming generates long unit-stride data scans (memcpy-like) with
-// sparse control: the friendliest case for prefetch and pipelined
-// deciphering. Materialized form of StreamingSource.
-func Streaming(cfg Config) *Trace { return Drain(StreamingSource(cfg)) }
-
-// PointerChase generates dependent random loads (linked-list traversal):
-// the workload with no latency-hiding opportunity, worst case for any
-// deciphering latency on the miss path. Materialized form of
-// PointerChaseSource.
-func PointerChase(cfg Config) *Trace { return Drain(PointerChaseSource(cfg)) }
-
-// MatrixLike generates blocked row/column sweeps over a square matrix
-// region: moderate locality, balanced loads and stores — the numeric
-// kernel stand-in. Materialized form of MatrixLikeSource.
-func MatrixLike(cfg Config) *Trace { return Drain(MatrixLikeSource(cfg)) }
-
 // computeGap draws a small geometric-ish compute gap around mean.
 func computeGap(rng *rand.Rand, mean int) uint16 {
 	if mean <= 0 {
@@ -220,26 +184,11 @@ func computeGap(rng *rand.Rand, mean int) uint16 {
 	return uint16(g)
 }
 
-// Generators is the registry of named materialized workloads, keyed
-// exactly like Sources; the map value builds a trace from a config.
-// Long sweeps should prefer Sources: same references, O(1) memory.
-var Generators = map[string]func(Config) *Trace{
-	"sequential":    Sequential,
-	"code-only":     CodeOnly,
-	"streaming":     Streaming,
-	"pointer-chase": PointerChase,
-	"matrix-like":   MatrixLike,
-	"firmware":      Firmware,
-}
-
-// Firmware materializes FirmwareSource (microcontroller footprint).
-func Firmware(cfg Config) *Trace { return Drain(FirmwareSource(cfg)) }
-
-// MultiProcess generates a round-robin multitasking workload: Procs
-// processes, each confined to its own code and data regions, scheduled
-// in quanta of Quantum references. It drives the key-management
-// extension (multikey EDU): every quantum boundary is a protection-
-// domain switch on the bus.
+// MultiProcessConfig parameterizes MultiProcessSource, a round-robin
+// multitasking workload: Procs processes, each confined to its own code
+// and data regions, scheduled in quanta of Quantum references. It drives
+// the key-management extension (multikey EDU): every quantum boundary is
+// a protection-domain switch on the bus.
 type MultiProcessConfig struct {
 	// Config supplies the per-process knobs (jump rate, write fraction,
 	// locality, compute gaps); region fields are ignored.
@@ -273,7 +222,3 @@ func (c *MultiProcessConfig) fillMP() {
 		c.RegionBytes = 256 << 10
 	}
 }
-
-// MultiProcess builds the workload. Materialized form of
-// MultiProcessSource.
-func MultiProcess(cfg MultiProcessConfig) *Trace { return Drain(MultiProcessSource(cfg)) }
