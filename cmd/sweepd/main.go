@@ -37,6 +37,24 @@ import (
 	"repro/internal/serve"
 )
 
+// Connection deadlines: a client has readHeaderTimeout to send its
+// request headers (a slow-header client cannot pin a connection), and
+// an idle keep-alive connection closes after idleTimeout. There is no
+// write deadline: an NDJSON results stream lasts as long as its sweep.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer is the HTTP server sweepd serves h with.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	addr := flag.String("addr", "localhost:8344", "listen address")
 	workers := flag.Int("workers", campaign.DefaultJobs(), "shared simulation worker pool size")
@@ -98,7 +116,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	fmt.Fprintf(os.Stderr, "sweepd: serving on http://%s\n", ln.Addr())
 
 	errc := make(chan error, 1)

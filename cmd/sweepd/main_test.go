@@ -315,3 +315,19 @@ func TestCancelEndpoint(t *testing.T) {
 		t.Error("partial report carries no canceled placeholders")
 	}
 }
+
+// The server sweepd listens with bounds how long a client may take to
+// send headers and how long an idle connection lives, but sets no
+// write deadline, which would cut long NDJSON result streams.
+func TestHTTPServerTimeouts(t *testing.T) {
+	srv := newHTTPServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want > 0", srv.ReadHeaderTimeout)
+	}
+	if srv.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want > 0", srv.IdleTimeout)
+	}
+	if srv.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, want 0 (result streams outlive any write deadline)", srv.WriteTimeout)
+	}
+}

@@ -323,12 +323,10 @@ func (r *Runner) runTaskRec(cfg TaskConfig, rc *rec.Recorder) Result {
 	ecfg.Recorder = rc
 	if r.m != nil {
 		ecfg.Metrics = r.m.SoC
-		if t, ok := ver.(*authtree.Tree); ok {
-			t.SetMetrics(r.m.Auth)
-		}
 	}
-	if t, ok := ver.(*authtree.Tree); ok {
-		t.SetRecorder(rc)
+	tree, _ := ver.(*authtree.Tree)
+	if tree != nil {
+		tree.SetRecorder(rc)
 	}
 	var sched *attack.Schedule
 	if cfg.AttackRate > 0 {
@@ -359,6 +357,9 @@ func (r *Runner) runTaskRec(cfg TaskConfig, rc *rec.Recorder) Result {
 		return fail(err)
 	}
 	with := s.Run(src)
+	if tree != nil {
+		r.m.addTree(tree)
+	}
 
 	res.Gates = eng.Gates()
 	res.BaseCycles = base.Cycles

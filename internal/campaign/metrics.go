@@ -8,10 +8,11 @@ import (
 )
 
 // Metrics is the campaign's live instrumentation bundle: task
-// lifecycle, memo effectiveness, worker utilization, and — through the
-// embedded soc/authtree bundles — every simulated system's hot-loop
-// stream. All workers share the same pre-registered cells, so the
-// registry view is the whole sweep's aggregate; the progress reporter
+// lifecycle, memo effectiveness, worker utilization, every simulated
+// system's counters (through the embedded soc bundle) and every
+// finished task's tree-authenticator counters. All workers share the
+// same pre-registered cells, so the registry view is the whole sweep's
+// aggregate; the progress reporter
 // derives refs/sec and ETA from it without touching the result path
 // (emitted bytes stay independent of -jobs and of whether anyone is
 // watching).
@@ -32,29 +33,49 @@ type Metrics struct {
 	BaselineHits *obs.Gauge
 	// WorkersBusy is the number of workers currently inside a task.
 	WorkersBusy *obs.Gauge
-	// SoC and Auth are installed on every simulated system (baseline and
-	// engine runs alike), so soc.refs accumulates sweep-wide.
-	SoC  *soc.Metrics
-	Auth authtree.Metrics
+	// SoC is installed on every simulated system (baseline and engine
+	// runs alike), so soc.refs accumulates sweep-wide.
+	SoC *soc.Metrics
+	// NodeHits, NodeFetches, TagComputations, Verified and Violations
+	// add up the authtree.Tree counters of each finished task.
+	NodeHits, NodeFetches, TagComputations *obs.Counter
+	Verified, Violations                   *obs.Counter
 }
 
-// NewMetrics registers the campaign inventory on r ("campaign.*" plus
-// the soc/cache/authtree inventories) and returns the bundle to pass
+// NewMetrics registers the campaign inventory on r ("campaign.*",
+// "authtree.*" and the soc inventory) and returns the bundle to pass
 // to Runner.Observe.
 func NewMetrics(r *obs.Registry) *Metrics {
 	return &Metrics{
-		TasksTotal:   r.Gauge("campaign.tasks_total"),
-		RefsPlanned:  r.Gauge("campaign.refs_planned"),
-		TasksStarted: r.Counter("campaign.tasks_started"),
-		TasksDone:    r.Counter("campaign.tasks_done"),
-		TaskErrors:   r.Counter("campaign.task_errors"),
-		MemoHits:     r.Counter("campaign.memo_hits"),
-		BaselineRuns: r.Gauge("campaign.baseline_runs"),
-		BaselineHits: r.Gauge("campaign.baseline_hits"),
-		WorkersBusy:  r.Gauge("campaign.workers_busy"),
-		SoC:          soc.NewMetrics(r),
-		Auth:         authtree.NewMetrics(r),
+		TasksTotal:      r.Gauge("campaign.tasks_total"),
+		RefsPlanned:     r.Gauge("campaign.refs_planned"),
+		TasksStarted:    r.Counter("campaign.tasks_started"),
+		TasksDone:       r.Counter("campaign.tasks_done"),
+		TaskErrors:      r.Counter("campaign.task_errors"),
+		MemoHits:        r.Counter("campaign.memo_hits"),
+		BaselineRuns:    r.Gauge("campaign.baseline_runs"),
+		BaselineHits:    r.Gauge("campaign.baseline_hits"),
+		WorkersBusy:     r.Gauge("campaign.workers_busy"),
+		SoC:             soc.NewMetrics(r),
+		NodeHits:        r.Counter("authtree.node_hits"),
+		NodeFetches:     r.Counter("authtree.node_fetches"),
+		TagComputations: r.Counter("authtree.tag_computations"),
+		Verified:        r.Counter("authtree.verified"),
+		Violations:      r.Counter("authtree.violations"),
 	}
+}
+
+// addTree adds a finished task's tree counters (a no-op on a nil
+// bundle: the runner is unobserved).
+func (m *Metrics) addTree(t *authtree.Tree) {
+	if m == nil {
+		return
+	}
+	m.NodeHits.Add(t.NodeHits)
+	m.NodeFetches.Add(t.NodeFetches)
+	m.TagComputations.Add(t.Tags)
+	m.Verified.Add(t.Verified)
+	m.Violations.Add(t.Violations)
 }
 
 // Observe installs live metrics on the runner (nil to disable, the

@@ -4,17 +4,21 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/sim/authtree"
+	"repro/internal/sim/soc"
 )
 
 // An observed runner must account every planned reference exactly once
-// (tasks plus memoized baselines), drain its workers, and leave the
-// emitted report identical to an unobserved run.
+// (tasks plus memoized baselines), publish each finished task's tree
+// counters, drain its workers, and leave the emitted report identical
+// to an unobserved run.
 func TestRunnerObserve(t *testing.T) {
 	spec := Spec{
-		Engines:   []string{"aegis", "xom"},
+		Engines:   []string{"aegis"},
 		Workloads: []string{"sequential"},
-		Auths:     []string{"ctree"},
+		Auths:     []string{"none", "ctree"},
 		Refs:      []int{2000},
 	}
 	reg := obs.NewRegistry()
@@ -57,9 +61,22 @@ func TestRunnerObserve(t *testing.T) {
 	if got := reg.Counter("soc.refs").Load(); got != planned {
 		t.Errorf("soc.refs = %d, want planned %d", got, planned)
 	}
-	// The ctree tasks exercised the tree authenticator's live counters.
-	if reg.Counter("authtree.verified").Load() == 0 {
-		t.Error("authtree.verified did not move under auth=ctree")
+	// The one ctree task's tree counters, exactly: a same-seed replay
+	// of that task reproduces them.
+	tree := replayTree(t, runner.Plan())
+	if tree.Verified == 0 {
+		t.Fatal("replayed ctree task verified nothing")
+	}
+	for name, want := range map[string]uint64{
+		"authtree.node_hits":        tree.NodeHits,
+		"authtree.node_fetches":     tree.NodeFetches,
+		"authtree.tag_computations": tree.Tags,
+		"authtree.verified":         tree.Verified,
+		"authtree.violations":       tree.Violations,
+	} {
+		if got := reg.Counter(name).Load(); got != want {
+			t.Errorf("%s = %d, want %d (replay)", name, got, want)
+		}
 	}
 
 	// Re-running the same grid is served from the result memo: no new
@@ -83,4 +100,43 @@ func TestRunnerObserve(t *testing.T) {
 	if string(a) != string(b) {
 		t.Error("observed report differs from unobserved report")
 	}
+}
+
+// replayTree re-simulates the plan's single ctree task outside the
+// runner, from the same config and trace seed, and returns its tree.
+func replayTree(t *testing.T, tasks []Task) *authtree.Tree {
+	t.Helper()
+	var cfg TaskConfig
+	n := 0
+	for _, task := range tasks {
+		if task.Cfg.Auth == "ctree" {
+			cfg = task.Cfg
+			n++
+		}
+	}
+	if n != 1 {
+		t.Fatalf("plan has %d ctree tasks, want 1", n)
+	}
+	sc, err := socConfig(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc.Engine, err = core.MustEntry(cfg.Engine).Build(); err != nil {
+		t.Fatal(err)
+	}
+	ver, err := core.BuildAuthenticator(cfg.Auth, cfg.LineSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Verifier = ver
+	s, err := soc.New(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := workloadSource(cfg.Workload, cfg.Refs, cfg.Seed())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run(src)
+	return ver.(*authtree.Tree)
 }

@@ -114,8 +114,9 @@ type Tree struct {
 	// NodeHits / NodeFetches split verification walks by node-cache
 	// outcome: the locality the node cache exists to exploit.
 	NodeHits, NodeFetches uint64
-	// m is the live metrics bundle (zero value = publish nowhere).
-	m Metrics
+	// Tags counts GHASH line-tag evaluations — the tag unit's
+	// throughput demand.
+	Tags uint64
 	// rc is the flight recorder (nil = no-op): walks emit per-node
 	// fetch/hit/dirty-propagate events under the SoC's current stamp.
 	rc *rec.Recorder
@@ -191,6 +192,12 @@ func New(cfg Config) (*Tree, error) {
 	return t, nil
 }
 
+// SetRecorder installs the flight recorder (nil to disable): walks
+// emit per-node fetch/hit/dirty-propagate events into it, stamped with
+// whatever cycle/ref the SoC last set — the tree has no clock of its
+// own, and the recorder's stamp discipline means it doesn't need one.
+func (t *Tree) SetRecorder(r *rec.Recorder) { t.rc = r }
+
 // Name implements edu.Verifier.
 func (t *Tree) Name() string { return t.cfg.Variant.String() }
 
@@ -246,12 +253,10 @@ func (t *Tree) walkVerify(leaf uint64) uint64 {
 		key := nodeKey(lvl, leaf>>(uint(lvl)*t.log2Arity))
 		if t.cache.probe(key, false) {
 			t.NodeHits++
-			t.m.NodeHits.Inc()
 			t.rc.Emit(rec.KindNodeHit, key, uint8(lvl), 0, 0)
 			return stall + 1
 		}
 		t.NodeFetches++
-		t.m.NodeFetches.Inc()
 		t.rc.Emit(rec.KindNodeFetch, key, uint8(lvl), 0, t.fetchCost+uint64(t.cfg.NodeHashCycles))
 		stall += t.fetchCost + uint64(t.cfg.NodeHashCycles)
 		if t.cache.insert(key, false) {
@@ -272,12 +277,10 @@ func (t *Tree) walkUpdate(leaf uint64) uint64 {
 		key := nodeKey(lvl, leaf>>(uint(lvl)*t.log2Arity))
 		if t.cache.probe(key, true) {
 			t.NodeHits++
-			t.m.NodeHits.Inc()
 			t.rc.Emit(rec.KindNodeHit, key, uint8(lvl), rec.FlagUpdate, 0)
 			return stall + uint64(t.cfg.NodeHashCycles)
 		}
 		t.NodeFetches++
-		t.m.NodeFetches.Inc()
 		t.rc.Emit(rec.KindNodeFetch, key, uint8(lvl), rec.FlagUpdate, t.fetchCost+2*uint64(t.cfg.NodeHashCycles))
 		stall += t.fetchCost + 2*uint64(t.cfg.NodeHashCycles) // verify, then recompute
 		if t.cache.insert(key, true) {
@@ -301,7 +304,7 @@ func (t *Tree) VerifyRead(addr uint64, ct []byte) (uint64, bool) {
 	}
 	stall := uint64(t.cfg.TagCycles)
 	want := t.key.TagLine(addr, t.version(addr), ct)
-	t.m.TagComputations.Inc()
+	t.Tags++
 	stored, enrolled := t.ext[addr]
 	if !enrolled {
 		// First sight of a never-written line: enroll it, as boot
@@ -311,17 +314,14 @@ func (t *Tree) VerifyRead(addr uint64, ct []byte) (uint64, bool) {
 		//repro:allow enrollment inserts once per line; steady-state reads never reach here
 		t.trusted[addr] = want
 		t.Verified++
-		t.m.Verified.Inc()
 		return stall + t.walkUpdate(leaf), true
 	}
 	stall += t.walkVerify(leaf)
 	if want != stored || stored != t.trusted[addr] {
 		t.Violations++
-		t.m.Violations.Inc()
 		return stall, false
 	}
 	t.Verified++
-	t.m.Verified.Inc()
 	return stall, true
 }
 
@@ -337,7 +337,7 @@ func (t *Tree) UpdateWrite(addr uint64, ct []byte) uint64 {
 		t.ver[addr]++ //repro:allow sparse counter table; steady-state bumps hit existing keys
 	}
 	tag := t.key.TagLine(addr, t.version(addr), ct)
-	t.m.TagComputations.Inc()
+	t.Tags++
 	//repro:allow sparse external tag store; steady-state writes hit existing keys
 	t.ext[addr] = tag
 	//repro:allow sparse external tag store; steady-state writes hit existing keys

@@ -7,16 +7,6 @@ package cache
 
 import "fmt"
 
-// Policy selects the replacement discipline within a set.
-type Policy int
-
-const (
-	// LRU replaces the least recently used way.
-	LRU Policy = iota
-	// FIFO replaces in insertion order.
-	FIFO
-)
-
 // WriteMode selects the write-hit policy.
 type WriteMode int
 
@@ -34,10 +24,9 @@ type Config struct {
 	// LineSize is the block size in bytes (the survey's "cache block",
 	// the ciphering granule of the AEGIS engine).
 	LineSize int
-	// Ways is the associativity (1 = direct mapped).
+	// Ways is the associativity (1 = direct mapped). Replacement within
+	// a set is least recently used.
 	Ways int
-	// Policy is the replacement policy.
-	Policy Policy
 	// WriteMode is the write-hit policy; write misses allocate in
 	// WriteBack mode and bypass in WriteThrough mode.
 	WriteMode WriteMode
@@ -82,7 +71,7 @@ type line struct {
 	tag   uint64
 	valid bool
 	dirty bool
-	used  uint64 // LRU timestamp or FIFO insertion order
+	used  uint64 // LRU timestamp
 }
 
 // Cache is one cache instance.
@@ -92,9 +81,6 @@ type Cache struct {
 	setsN uint64
 	tick  uint64
 	stats Stats
-	// m mirrors the Stats counters into live obs metrics; the zero
-	// value publishes nowhere (nil-safe no-ops).
-	m LevelMetrics
 }
 
 // New builds a cache or reports a bad geometry.
@@ -167,10 +153,7 @@ func (c *Cache) Access(addr uint64, isStore bool) Result {
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == tag {
 			c.stats.Hits++
-			c.m.Hits.Inc()
-			if c.cfg.Policy == LRU {
-				ways[i].used = c.tick
-			}
+			ways[i].used = c.tick
 			var res Result
 			res.Hit = true
 			res.Slot = int(set)*c.cfg.Ways + i
@@ -188,7 +171,6 @@ func (c *Cache) Access(addr uint64, isStore bool) Result {
 	}
 
 	c.stats.Misses++
-	c.m.Misses.Inc()
 	var res Result
 	res.Slot = -1
 
@@ -216,9 +198,10 @@ func (c *Cache) Access(addr uint64, isStore bool) Result {
 }
 
 // victimWay chooses the replacement way in set — the first invalid way,
-// else the policy minimum — counting the eviction and dirty-writeback
-// stats exactly as a demand miss does. It reports the line-aligned
-// address of a dirty victim that must spill before the way is reused.
+// else the least recently used — counting the eviction and
+// dirty-writeback stats exactly as a demand miss does. It reports the
+// line-aligned address of a dirty victim that must spill before the way
+// is reused.
 func (c *Cache) victimWay(set uint64) (way int, wbAddr uint64, writeback bool) {
 	ways := c.sets[set]
 	victim := -1
@@ -236,10 +219,8 @@ func (c *Cache) victimWay(set uint64) (way int, wbAddr uint64, writeback bool) {
 			}
 		}
 		c.stats.Evictions++
-		c.m.Evictions.Inc()
 		if ways[victim].dirty {
 			c.stats.Writebacks++
-			c.m.Writebacks.Inc()
 			writeback = true
 			wbAddr = (ways[victim].tag*c.setsN + set) * uint64(c.cfg.LineSize)
 		}
@@ -266,17 +247,13 @@ func (c *Cache) Install(addr uint64) (slot int, victim DirtyLine, hasVictim bool
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == tag {
 			c.stats.Hits++
-			c.m.Hits.Inc()
-			if c.cfg.Policy == LRU {
-				ways[i].used = c.tick
-			}
+			ways[i].used = c.tick
 			ways[i].dirty = true
 			return int(set)*c.cfg.Ways + i, DirtyLine{}, false
 		}
 	}
 
 	c.stats.Misses++
-	c.m.Misses.Inc()
 	way, wbAddr, writeback := c.victimWay(set)
 	if writeback {
 		victim = DirtyLine{Addr: wbAddr, Slot: int(set)*c.cfg.Ways + way}

@@ -60,8 +60,10 @@ type Hierarchy struct {
 	levels   []*Cache
 	events   []Event
 	flushBuf []DirtyLine
-	// m publishes transfer events live; zero value publishes nowhere.
-	m HierarchyMetrics
+	// Fills/Writebacks count every transfer event emitted so far;
+	// ChipFills/ChipWritebacks the subset that crossed the chip
+	// boundary (PeerSlot < 0, external bus traffic).
+	Fills, Writebacks, ChipFills, ChipWritebacks uint64
 }
 
 // NewHierarchy composes levels (innermost first). All levels must share
@@ -128,10 +130,19 @@ func (h *Hierarchy) pushDown(level int, addr uint64, slot int) {
 	h.emit(Event{Kind: EvWriteback, Level: level, Addr: addr, Slot: slot, PeerSlot: peer})
 }
 
-// emit appends one transfer event and publishes it to the live
-// metrics (a no-op with the zero-value metrics bundle).
+// emit appends one transfer event and counts it.
 func (h *Hierarchy) emit(ev Event) {
-	h.m.observe(ev)
+	if ev.Kind == EvFill {
+		h.Fills++
+		if ev.PeerSlot < 0 {
+			h.ChipFills++
+		}
+	} else {
+		h.Writebacks++
+		if ev.PeerSlot < 0 {
+			h.ChipWritebacks++
+		}
+	}
 	h.events = append(h.events, ev)
 }
 

@@ -6,15 +6,15 @@ import (
 )
 
 func l1Config() Config {
-	return Config{Size: 1 << 10, LineSize: 32, Ways: 2, Policy: LRU, WriteMode: WriteBack}
+	return Config{Size: 1 << 10, LineSize: 32, Ways: 2, WriteMode: WriteBack}
 }
 
 func l2Config() Config {
-	return Config{Size: 4 << 10, LineSize: 32, Ways: 4, Policy: LRU, WriteMode: WriteBack}
+	return Config{Size: 4 << 10, LineSize: 32, Ways: 4, WriteMode: WriteBack}
 }
 
 func TestInstall(t *testing.T) {
-	c := mustCache(t, Config{Size: 64, LineSize: 32, Ways: 1, Policy: LRU, WriteMode: WriteBack})
+	c := mustCache(t, Config{Size: 64, LineSize: 32, Ways: 1, WriteMode: WriteBack})
 
 	// Install into an empty set: no victim, line resident and dirty.
 	slot, _, hasVictim := c.Install(0x0)
@@ -104,17 +104,27 @@ func TestHierarchySingleLevelEquivalence(t *testing.T) {
 // Two-level invariants over a random workload: every L1 miss consults
 // the L2, L1 victim writebacks install in the L2, a victim's outward
 // spill always precedes the event that reuses its slot, and Flush
-// leaves no dirty line anywhere.
+// leaves no dirty line anywhere. The transfer counters count every
+// emitted event, the chip counters those with no peer slot.
 func TestHierarchyTwoLevel(t *testing.T) {
 	h, err := NewHierarchy(mustCache(t, l1Config()), mustCache(t, l2Config()))
 	if err != nil {
 		t.Fatal(err)
+	}
+	var counts [2][2]uint64 // [kind][crossed the chip boundary]
+	tally := func(ev Event) {
+		chip := 0
+		if ev.PeerSlot < 0 {
+			chip = 1
+		}
+		counts[ev.Kind][chip]++
 	}
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 50000; i++ {
 		addr := uint64(rng.Intn(64<<10)) &^ 3
 		res, events := h.Access(addr, rng.Intn(3) == 0)
 		for _, ev := range events {
+			tally(ev)
 			switch {
 			case ev.Kind == EvWriteback && ev.Level == 0:
 				if !h.Level(1).Contains(ev.Addr) {
@@ -136,9 +146,18 @@ func TestHierarchyTwoLevel(t *testing.T) {
 	// Flush: afterwards both levels are clean.
 	events := h.Flush()
 	for _, ev := range events {
+		tally(ev)
 		if ev.Kind != EvWriteback {
 			t.Errorf("flush emitted a fill event: %+v", ev)
 		}
+	}
+	got := [4]uint64{h.Fills, h.ChipFills, h.Writebacks, h.ChipWritebacks}
+	want := [4]uint64{
+		counts[EvFill][0] + counts[EvFill][1], counts[EvFill][1],
+		counts[EvWriteback][0] + counts[EvWriteback][1], counts[EvWriteback][1],
+	}
+	if got != want || want[1] == 0 || want[3] == 0 {
+		t.Errorf("transfer counters (fills, chip fills, writebacks, chip writebacks) = %v, want %v", got, want)
 	}
 	if got := h.Level(0).FlushDirty(nil); len(got) != 0 {
 		t.Errorf("L1 still dirty after Flush: %d lines", len(got))

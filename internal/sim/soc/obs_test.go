@@ -41,12 +41,11 @@ func instrumentedSystem(t *testing.T, reg *obs.Registry, twoLevel bool, rc *rec.
 	if err != nil {
 		t.Fatal(err)
 	}
-	ver.SetMetrics(authtree.NewMetrics(reg))
 	ver.SetRecorder(rc)
 	cfg := DefaultConfig()
 	cfg.Recorder = rc
 	if twoLevel {
-		cfg.L2 = cache.Config{Size: 64 << 10, LineSize: 32, Ways: 8, Policy: cache.LRU, WriteMode: cache.WriteBack}
+		cfg.L2 = cache.Config{Size: 64 << 10, LineSize: 32, Ways: 8, WriteMode: cache.WriteBack}
 	}
 	cfg.Engine = fixedEngine{block: 16, readCost: 7, writeCost: 3}
 	cfg.Verifier = ver
@@ -67,8 +66,8 @@ func obsTestSource() trace.RefSource {
 
 // The 0 allocs/ref contract must hold with the metrics registry
 // installed: publishing is pointer-held atomics on pre-registered
-// cells, so full instrumentation (SoC + both cache levels + hierarchy
-// + tree verifier) adds no allocation to the hot loop.
+// cells, so full instrumentation (SoC, both cache levels, hierarchy,
+// tree verifier behind it) adds no allocation to the hot loop.
 func TestHotLoopZeroAllocsInstrumented(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -95,36 +94,37 @@ func TestHotLoopZeroAllocsInstrumented(t *testing.T) {
 	}
 }
 
-// The live metrics must agree with the Report the same run returns:
-// the observable twin carries the same truth, just readable mid-run.
+// After a run the live metrics must agree with the Report and Stats
+// the same run returns: they are published from the same counters.
 func TestMetricsMirrorReport(t *testing.T) {
 	reg := obs.NewRegistry()
-	s, ver := instrumentedSystem(t, reg, true, nil)
+	s, _ := instrumentedSystem(t, reg, true, nil)
 	rep := s.Run(obsTestSource())
 
 	counters := map[string]uint64{
-		"soc.refs":            rep.Refs,
-		"soc.instructions":    rep.Instructions,
-		"soc.cycles":          rep.Cycles,
-		"soc.engine_lines":    rep.EngineLines,
-		"soc.auth_stalls":     rep.AuthStalls,
-		"soc.auth_violations": rep.AuthViolations,
-		"l1.hits":             rep.Cache.Hits,
-		"l1.misses":           rep.Cache.Misses,
-		"l1.evictions":        rep.Cache.Evictions,
-		"l1.writebacks":       rep.Cache.Writebacks,
-		"l2.hits":             rep.L2.Hits,
-		"l2.misses":           rep.L2.Misses,
-		"authtree.node_hits":  ver.NodeHits,
-		"authtree.verified":   ver.Verified,
+		"soc.refs":             rep.Refs,
+		"soc.instructions":     rep.Instructions,
+		"soc.cycles":           rep.Cycles,
+		"soc.engine_lines":     rep.EngineLines,
+		"soc.auth_stalls":      rep.AuthStalls,
+		"soc.auth_violations":  rep.AuthViolations,
+		"l1.hits":              rep.Cache.Hits,
+		"l1.misses":            rep.Cache.Misses,
+		"l1.evictions":         rep.Cache.Evictions,
+		"l1.writebacks":        rep.Cache.Writebacks,
+		"l2.hits":              rep.L2.Hits,
+		"l2.misses":            rep.L2.Misses,
+		"l2.evictions":         rep.L2.Evictions,
+		"l2.writebacks":        rep.L2.Writebacks,
+		"hier.fills":           s.hier.Fills,
+		"hier.writebacks":      s.hier.Writebacks,
+		"hier.chip_fills":      s.hier.ChipFills,
+		"hier.chip_writebacks": s.hier.ChipWritebacks,
 	}
 	for name, want := range counters {
 		if got := reg.Counter(name).Load(); got != want {
 			t.Errorf("%s = %d, want %d (report)", name, got, want)
 		}
-	}
-	if got := reg.Counter("authtree.node_fetches").Load(); got != ver.NodeFetches {
-		t.Errorf("authtree.node_fetches = %d, want %d", got, ver.NodeFetches)
 	}
 
 	// Transfer histogram: one observation per costed line transfer,
@@ -149,6 +149,45 @@ func TestMetricsMirrorReport(t *testing.T) {
 	s2.Run(obsTestSource())
 	if got := reg.Counter("soc.refs").Load(); got != before+rep.Refs {
 		t.Errorf("shared registry refs = %d, want %d", got, before+rep.Refs)
+	}
+}
+
+// liveRefsProbe is an Intruder that reads the live soc.refs cell once,
+// at reference at.
+type liveRefsProbe struct {
+	reg  *obs.Registry
+	at   uint64
+	seen uint64
+}
+
+func (p *liveRefsProbe) Strike(refIndex uint64, _ trace.Ref, _ *SoC) {
+	if refIndex == p.at {
+		p.seen = p.reg.Counter("soc.refs").Load()
+	}
+}
+
+// Progress stays live: a reader mid-run sees soc.refs at most one
+// publish interval behind the references already processed.
+func TestMetricsPublishMidRun(t *testing.T) {
+	reg := obs.NewRegistry()
+	probe := &liveRefsProbe{reg: reg, at: 10000}
+	cfg := DefaultConfig()
+	cfg.Metrics = NewMetrics(reg)
+	cfg.Intruder = probe
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := s.Run(obsTestSource())
+	if rep.Refs != 20000 {
+		t.Fatalf("ran %d refs, want 20000", rep.Refs)
+	}
+	if probe.seen < probe.at-publishEvery || probe.seen > probe.at {
+		t.Errorf("soc.refs read at ref %d = %d, want within [%d, %d]",
+			probe.at, probe.seen, probe.at-publishEvery, probe.at)
+	}
+	if got := reg.Counter("soc.refs").Load(); got != rep.Refs {
+		t.Errorf("soc.refs after Run = %d, want %d", got, rep.Refs)
 	}
 }
 

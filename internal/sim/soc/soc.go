@@ -74,10 +74,12 @@ type Config struct {
 	// address. The attack schedule uses it to measure detection
 	// latency.
 	OnViolation func(refIndex, lineAddr uint64)
-	// Metrics, when non-nil, installs live observability: the hot loop
-	// publishes into the bundle's pre-registered atomic metrics with
-	// zero allocations per reference (the obs fixed-registry contract).
-	// nil runs exactly as before — publishes become nil-receiver no-ops.
+	// Metrics, when non-nil, installs live observability: Run adds the
+	// growth of its counters to the bundle's pre-registered atomic
+	// metrics every publishEvery references and after the final flush,
+	// with zero allocations per reference (the obs fixed-registry
+	// contract). nil runs exactly as before — publishes become
+	// nil-receiver no-ops.
 	Metrics *Metrics
 	// Recorder, when non-nil, installs the flight recorder
 	// (internal/obs/rec): the hot loop emits one fixed-size event per
@@ -104,8 +106,7 @@ type Intruder interface {
 func DefaultConfig() Config {
 	return Config{
 		Cache: cache.Config{
-			Size: 16 << 10, LineSize: 32, Ways: 4,
-			Policy: cache.LRU, WriteMode: cache.WriteBack,
+			Size: 16 << 10, LineSize: 32, Ways: 4, WriteMode: cache.WriteBack,
 		},
 		Bus:             bus.Config{WidthBytes: 4, ClockDivider: 2, AddressCycles: 2},
 		DRAM:            dram.DefaultConfig(),
@@ -119,8 +120,7 @@ func DefaultConfig() Config {
 // campaign's -l2 axis and E22 sweep.
 func DefaultL2Config(size int) cache.Config {
 	return cache.Config{
-		Size: size, LineSize: 32, Ways: 8,
-		Policy: cache.LRU, WriteMode: cache.WriteBack,
+		Size: size, LineSize: 32, Ways: 8, WriteMode: cache.WriteBack,
 	}
 }
 
@@ -332,11 +332,6 @@ func New(cfg Config) (*SoC, error) {
 	}
 	if cfg.Metrics != nil {
 		s.m = *cfg.Metrics
-		c.SetMetrics(s.m.L1)
-		if l2 != nil {
-			l2.SetMetrics(s.m.L2)
-		}
-		hier.SetMetrics(s.m.Hier)
 	}
 	return s, nil
 }
@@ -467,7 +462,6 @@ func (s *SoC) fill(lineAddr uint64, pt []byte, rep *Report) (cycles, engineStall
 	busCycles := s.bus.Transfer(bus.Read, lineAddr, s.ctIn[:s.transferSize(lineAddr, ls)])
 	s.engine.DecryptLine(lineAddr, pt, s.ctIn)
 	rep.EngineLines++
-	s.m.EngineLines.Inc()
 	s.rc.Emit(rec.KindDecipher, lineAddr, 0, 0, s.granules)
 	transfer := dramCycles + busCycles
 	extra := s.engine.ReadExtraCycles(lineAddr, ls, transfer)
@@ -493,13 +487,11 @@ func (s *SoC) verifyInbound(lineAddr uint64, ct, pt []byte, rep *Report) uint64 
 		stall += uint64(s.cfg.ViolationCycles)
 		rep.AuthStalls += uint64(s.cfg.ViolationCycles)
 		rep.AuthViolations++
-		s.m.AuthViolations.Inc()
 		clear(pt)
 		if s.cfg.OnViolation != nil {
 			s.cfg.OnViolation(s.curRef, lineAddr)
 		}
 	}
-	s.m.AuthStalls.Add(stall)
 	return stall
 }
 
@@ -512,7 +504,6 @@ func (s *SoC) spill(lineAddr uint64, pt []byte, rep *Report) (cycles, engineStal
 	ls := s.cfg.Cache.LineSize
 	s.engine.EncryptLine(lineAddr, s.ctOut, pt)
 	rep.EngineLines++
-	s.m.EngineLines.Inc()
 	s.rc.Emit(rec.KindEncipher, lineAddr, 0, 0, s.granules)
 	dramCycles := s.dram.AccessCycles(lineAddr)
 	busCycles := s.bus.Transfer(bus.Write, lineAddr, s.ctOut[:s.transferSize(lineAddr, ls)])
@@ -551,7 +542,6 @@ func (s *SoC) innerFill(lineAddr uint64, pt, ct []byte, rep *Report) (cycles, en
 	ls := s.cfg.Cache.LineSize
 	s.engine.DecryptLine(lineAddr, pt, ct)
 	rep.EngineLines++
-	s.m.EngineLines.Inc()
 	s.rc.Emit(rec.KindDecipher, lineAddr, 0, rec.FlagInner, s.granules)
 	extra := s.engine.ReadExtraCycles(lineAddr, ls, s.l2Hit)
 	cycles = s.l2Hit + extra
@@ -568,14 +558,12 @@ func (s *SoC) innerSpill(lineAddr uint64, pt, ct []byte, rep *Report) (cycles, e
 	ls := s.cfg.Cache.LineSize
 	s.engine.EncryptLine(lineAddr, ct, pt)
 	rep.EngineLines++
-	s.m.EngineLines.Inc()
 	s.rc.Emit(rec.KindEncipher, lineAddr, 0, rec.FlagInner, s.granules)
 	extra := s.engine.WriteExtraCycles(lineAddr, ls)
 	cycles = s.l2Hit + extra
 	if s.verifier != nil {
 		us := s.verifier.UpdateWrite(lineAddr, ct)
 		rep.AuthStalls += us
-		s.m.AuthStalls.Add(us)
 		s.rc.Emit(rec.KindRetag, lineAddr, 0, rec.FlagInner, us)
 		cycles += us
 	}
@@ -678,7 +666,6 @@ func (s *SoC) writeThrough(addr uint64, size, hitSlot int, rep *Report) (cycles,
 	} else {
 		s.engine.DecryptLine(lineAddr, pt, s.ctIn)
 		rep.EngineLines++
-		s.m.EngineLines.Inc()
 		s.rc.Emit(rec.KindDecipher, lineAddr, 0, 0, s.granules)
 		if s.verifier != nil {
 			// The recovered line comes from tamperable memory: verify it
@@ -688,7 +675,6 @@ func (s *SoC) writeThrough(addr uint64, size, hitSlot int, rep *Report) (cycles,
 	}
 	s.engine.EncryptLine(lineAddr, s.ctOut, pt)
 	rep.EngineLines++
-	s.m.EngineLines.Inc()
 	s.rc.Emit(rec.KindEncipher, lineAddr, 0, 0, s.granules)
 
 	if needRMW {
@@ -736,7 +722,6 @@ func (s *SoC) updateOutbound(lineAddr uint64, rep *Report) uint64 {
 	}
 	us := s.verifier.UpdateWrite(lineAddr, s.ctOut)
 	rep.AuthStalls += us
-	s.m.AuthStalls.Add(us)
 	s.rc.Emit(rec.KindRetag, lineAddr, 0, 0, us)
 	return us
 }
@@ -752,6 +737,7 @@ func (s *SoC) Run(src trace.RefSource) Report {
 	rep := Report{EngineName: s.engine.Name(), Workload: src.Label()}
 	hit := uint64(s.cfg.CacheHitCycles)
 	perAccess := s.engine.PerAccessCycles()
+	last := s.counts(&rep)
 
 	for {
 		ref, ok := src.Next()
@@ -766,12 +752,9 @@ func (s *SoC) Run(src trace.RefSource) Report {
 		}
 		s.curRef = rep.Refs
 		rep.Refs++
-		s.m.Refs.Inc()
 		if ref.Kind == trace.Fetch {
 			rep.Instructions++
-			s.m.Instructions.Inc()
 		}
-		cyclesBefore := rep.Cycles
 		rep.Cycles += uint64(ref.Compute)
 
 		isStore := ref.Kind == trace.Store
@@ -793,20 +776,21 @@ func (s *SoC) Run(src trace.RefSource) Report {
 			rep.StallCycles += c
 			rep.EngineStalls += e
 		}
-		s.m.Cycles.Add(rep.Cycles - cyclesBefore)
+		if rep.Refs%publishEvery == 0 {
+			s.publish(&rep, &last)
+		}
 	}
 
 	// Spill every dirty line and fold its cycles into the report, so
 	// writeback traffic is fully accounted; Compare flushes both
 	// systems, keeping the overhead comparison apples-to-apples.
-	preFlush := rep.Cycles
 	s.flushing = true
 	for _, ev := range s.hier.Flush() {
 		s.processEvent(ev, &rep)
 		rep.FlushedLines++
 	}
 	s.flushing = false
-	s.m.Cycles.Add(rep.Cycles - preFlush)
+	s.publish(&rep, &last)
 
 	rep.Cache = s.cache.Stats()
 	if s.l2 != nil {
@@ -821,14 +805,8 @@ func (s *SoC) Run(src trace.RefSource) Report {
 // a system with eng installed, both built from cfg, and returns both
 // reports. This is the canonical overhead measurement every experiment
 // uses: identical geometry, identical reference stream (src is rewound
-// between runs — use a Seed-configured source, not an explicit Rand),
-// engine as the only delta.
+// between runs), engine as the only delta.
 func Compare(cfg Config, eng edu.Engine, src trace.RefSource) (base, with Report, err error) {
-	if r, ok := src.(interface{ Replayable() bool }); ok && !r.Replayable() {
-		return base, with, fmt.Errorf(
-			"soc: Compare replays %q between runs, but the source is single-pass (built from an explicit Config.Rand); configure trace.Config.Seed instead",
-			src.Label())
-	}
 	bcfg := cfg
 	bcfg.Engine = edu.Null{}
 	bcfg.Verifier = nil

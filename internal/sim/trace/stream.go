@@ -14,10 +14,7 @@ import "math/rand"
 // generator state.
 //
 // Sources are single-goroutine objects. Reset rewinds a source to its
-// first reference; sources built from a Config carrying an explicit
-// *rand.Rand are single-pass (the consumed Rand state cannot be
-// rewound) and panic on Reset after use — thread a Seed instead when a
-// source must be replayed (soc.Compare replays).
+// first reference (soc.Compare replays one source twice).
 type RefSource interface {
 	// Label names the workload in reports.
 	Label() string
@@ -52,39 +49,25 @@ func Drain(src RefSource) *Trace {
 	}
 }
 
-// streamBase carries the state every source shares: the resolved RNG,
-// whether it can be rewound, and the emitted-reference count that
-// bounds the stream.
+// streamBase carries the state every source shares: the seeded RNG
+// and the emitted-reference count that bounds the stream.
 type streamBase struct {
 	name    string
 	seed    int64
 	started bool
 	rng     *rand.Rand
-	src     rand.Source // seed-derived source, reseeded in place on Reset; nil when rng is an explicit Config.Rand
+	src     rand.Source // rng's source, reseeded in place on Reset
 	emitted int
 	limit   int
 }
 
 func newStreamBase(name string, cfg *Config) streamBase {
-	b := streamBase{name: name, seed: cfg.Seed, limit: cfg.Refs}
-	if cfg.Rand != nil {
-		b.rng = cfg.Rand
-	} else {
-		b.src = rand.NewSource(cfg.Seed)
-		b.rng = rand.New(b.src)
-	}
-	return b
+	src := rand.NewSource(cfg.Seed)
+	return streamBase{name: name, seed: cfg.Seed, limit: cfg.Refs, rng: rand.New(src), src: src}
 }
 
 // Label implements RefSource.
 func (b *streamBase) Label() string { return b.name }
-
-// Replayable reports whether the source can be rewound: true for
-// seed-derived sources (Reset reseeds in place), false for sources
-// built from an explicit Config.Rand, whose consumed state cannot be
-// rewound — those panic on Reset after use. Consumers that must replay
-// (soc.Compare) check this instead of discovering the panic mid-run.
-func (b *streamBase) Replayable() bool { return b.src != nil }
 
 // resetBase rewinds the shared state; it reports whether the caller
 // must also rewind its own generator state (false when the source was
@@ -93,9 +76,6 @@ func (b *streamBase) Replayable() bool { return b.src != nil }
 func (b *streamBase) resetBase() bool {
 	if !b.started {
 		return false
-	}
-	if b.src == nil {
-		panic("trace: a source built from an explicit Config.Rand is single-pass and cannot be Reset; configure Seed instead")
 	}
 	b.src.Seed(b.seed)
 	b.started = false
@@ -411,13 +391,12 @@ func (s *matrixSource) Reset() {
 // substreams advanced lazily a quantum at a time, so the whole workload
 // is O(Procs) state.
 type multiSource struct {
-	cfg      MultiProcessConfig
-	explicit bool
-	started  bool
-	subs     []*seqSource
-	p        int // current process
-	inQuant  int // refs taken from the current process this quantum
-	emitted  int
+	cfg     MultiProcessConfig
+	started bool
+	subs    []*seqSource
+	p       int // current process
+	inQuant int // refs taken from the current process this quantum
+	emitted int
 }
 
 // MultiProcessSource streams the round-robin multitasking workload
@@ -425,7 +404,7 @@ type multiSource struct {
 func MultiProcessSource(cfg MultiProcessConfig) RefSource {
 	cfg.fillMP()
 	cfg.Config.fill()
-	m := &multiSource{cfg: cfg, explicit: cfg.Rand != nil}
+	m := &multiSource{cfg: cfg}
 	m.subs = make([]*seqSource, cfg.Procs)
 	for p := 0; p < cfg.Procs; p++ {
 		m.subs[p] = m.subSource(p)
@@ -439,24 +418,14 @@ func (m *multiSource) subSource(p int) *seqSource {
 	base, _ := m.cfg.ProcessRegion(p)
 	sub.CodeBase, sub.CodeSize = base, m.cfg.RegionBytes
 	sub.DataBase, sub.DataSize = base+m.cfg.RegionBytes, m.cfg.RegionBytes
-	// Each process gets its own independent source: seed-derived by
-	// default, or drawn from the caller's explicit Rand so the whole
-	// workload is a function of that one source.
-	if m.cfg.Rand != nil {
-		sub.Rand = NewRand(m.cfg.Rand.Int63())
-	} else {
-		sub.Seed = m.cfg.Seed + int64(p)*7919
-	}
+	// Each process gets its own independent seed-derived source.
+	sub.Seed = m.cfg.Seed + int64(p)*7919
 	sub.Refs = m.cfg.Refs // oversize; sliced per quantum
 	return SequentialSource(sub).(*seqSource)
 }
 
 // Label implements RefSource.
 func (m *multiSource) Label() string { return "multi-process" }
-
-// Replayable reports whether the source can be rewound (see
-// streamBase.Replayable): false when built from an explicit Rand.
-func (m *multiSource) Replayable() bool { return !m.explicit }
 
 // Next implements RefSource.
 func (m *multiSource) Next() (Ref, bool) {
@@ -488,9 +457,6 @@ func (m *multiSource) Next() (Ref, bool) {
 func (m *multiSource) Reset() {
 	if !m.started {
 		return
-	}
-	if m.explicit {
-		panic("trace: a source built from an explicit Config.Rand is single-pass and cannot be Reset; configure Seed instead")
 	}
 	for p := range m.subs {
 		m.subs[p].Reset()

@@ -61,27 +61,13 @@ func TestStreamResetReplays(t *testing.T) {
 	}
 }
 
-// A pristine source tolerates Reset (soc.Run rewinds unconditionally),
-// even when built from an explicit Rand.
+// A pristine source tolerates Reset (soc.Run rewinds unconditionally).
 func TestPristineResetIsNoop(t *testing.T) {
-	src := SequentialSource(Config{Refs: 100, Rand: NewRand(5)})
+	src := SequentialSource(Config{Refs: 100, Seed: 5})
 	src.Reset() // must not panic
 	if tr := Drain(src); len(tr.Refs) != 100 {
 		t.Errorf("got %d refs after pristine reset", len(tr.Refs))
 	}
-}
-
-// A consumed explicit-Rand source cannot be rewound: it must fail loud,
-// not silently produce a different stream.
-func TestExplicitRandSourceSinglePass(t *testing.T) {
-	src := SequentialSource(Config{Refs: 100, Rand: NewRand(5)})
-	Drain(src)
-	defer func() {
-		if recover() == nil {
-			t.Error("Reset of a consumed explicit-Rand source did not panic")
-		}
-	}()
-	src.Reset()
 }
 
 // The multi-process stream must match its drained form quantum for
@@ -126,27 +112,5 @@ func TestTraceIsARefSource(t *testing.T) {
 	src.Reset()
 	if r, ok := src.Next(); !ok || r != tr.Refs[0] {
 		t.Error("reset trace source did not replay from the first ref")
-	}
-}
-
-// Replayable must distinguish seed-derived sources (rewindable) from
-// explicit-Rand sources (single-pass) for every registered workload —
-// the property soc.Compare checks before it commits to replaying.
-func TestReplayable(t *testing.T) {
-	for name, mk := range Sources {
-		if src := mk(Config{Refs: 10, Seed: 1}); !src.(interface{ Replayable() bool }).Replayable() {
-			t.Errorf("%s: seeded source reports single-pass", name)
-		}
-		if src := mk(Config{Refs: 10, Rand: NewRand(1)}); src.(interface{ Replayable() bool }).Replayable() {
-			t.Errorf("%s: explicit-Rand source reports replayable", name)
-		}
-	}
-	mp := MultiProcessSource(MultiProcessConfig{Config: Config{Refs: 10, Rand: NewRand(2)}})
-	if mp.(interface{ Replayable() bool }).Replayable() {
-		t.Error("multi-process explicit-Rand source reports replayable")
-	}
-	tr := &Trace{Name: "mat", Refs: []Ref{{Kind: Fetch, Addr: 0, Size: 4}}}
-	if !tr.Replayable() {
-		t.Error("materialized trace reports single-pass")
 	}
 }

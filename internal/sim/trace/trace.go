@@ -77,9 +77,6 @@ func (t *Trace) Next() (Ref, bool) {
 // Reset implements RefSource: rewinds to the first reference.
 func (t *Trace) Reset() { t.pos = 0 }
 
-// Replayable reports that a materialized trace can always be rewound.
-func (t *Trace) Replayable() bool { return true }
-
 // Stats summarizes a trace's composition.
 type Stats struct {
 	Refs          int
@@ -122,19 +119,11 @@ func (s Stats) WriteFraction() float64 {
 type Config struct {
 	// Refs is the number of references to generate.
 	Refs int
-	// Seed drives the generator's PRNG; equal configs produce equal
-	// traces. Ignored when Rand is set.
+	// Seed drives the generator's PRNG, the only random source it
+	// draws from (there is no package-global RNG): equal configs produce
+	// equal traces, so callers that need deterministic parallel sharding
+	// hand each task its own seed.
 	Seed int64
-	// Rand, when non-nil, is the explicit random source driving the
-	// generator and takes precedence over Seed. Every generator draws
-	// exclusively from this source (there is no package-global RNG), so
-	// callers that need deterministic parallel sharding hand each task
-	// its own *rand.Rand and get byte-identical traces regardless of
-	// scheduling. The source is consumed: do not share one *rand.Rand
-	// across concurrent generator calls, and note that a streaming
-	// RefSource built from an explicit Rand is single-pass (it cannot
-	// Reset) — configure Seed when a source must be replayed.
-	Rand *rand.Rand
 	// CodeBase/CodeSize bound the instruction region (bytes).
 	CodeBase, CodeSize uint64
 	// DataBase/DataSize bound the data region (bytes).
@@ -167,12 +156,6 @@ func (c *Config) fill() {
 	if c.ComputeMean == 0 {
 		c.ComputeMean = 2
 	}
-}
-
-// NewRand returns a deterministic source for seed, the one every
-// generator uses internally when Config.Rand is nil.
-func NewRand(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed))
 }
 
 // computeGap draws a small geometric-ish compute gap around mean.

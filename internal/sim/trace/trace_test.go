@@ -241,35 +241,27 @@ func TestMultiProcessDeterminism(t *testing.T) {
 	}
 }
 
-func TestExplicitRandMatchesSeed(t *testing.T) {
-	// An explicit Rand built from seed s must generate the exact trace
-	// that Seed: s generates — the property the campaign scheduler's
-	// per-task RNG sharding rests on.
-	for name, mk := range Sources {
-		bySeed := Drain(mk(Config{Refs: 2000, Seed: 77}))
-		byRand := Drain(mk(Config{Refs: 2000, Seed: 12345, Rand: NewRand(77)}))
-		if len(bySeed.Refs) != len(byRand.Refs) {
-			t.Fatalf("%s: length mismatch", name)
-		}
-		for i := range bySeed.Refs {
-			if bySeed.Refs[i] != byRand.Refs[i] {
-				t.Fatalf("%s: ref %d differs with explicit Rand: %+v vs %+v",
-					name, i, bySeed.Refs[i], byRand.Refs[i])
-			}
-		}
-	}
-}
-
+// TestMultiProcessExplicitRandDeterminism: the whole multi-process
+// workload, every process's substream included, is a function of the
+// one Seed — equal seeds give equal traces, another seed another trace.
 func TestMultiProcessExplicitRandDeterminism(t *testing.T) {
-	mk := func() *Trace {
+	mk := func(seed int64) *Trace {
 		return Drain(MultiProcessSource(MultiProcessConfig{
-			Config: Config{Refs: 2000, Rand: NewRand(9)},
+			Config: Config{Refs: 2000, Seed: seed},
 		}))
 	}
-	a, b := mk(), mk()
+	a, b := mk(9), mk(9)
 	for i := range a.Refs {
 		if a.Refs[i] != b.Refs[i] {
-			t.Fatal("multi-process trace not deterministic under explicit Rand")
+			t.Fatal("multi-process trace not deterministic under one Seed")
 		}
+	}
+	c := mk(10)
+	same := true
+	for i := range a.Refs {
+		same = same && a.Refs[i] == c.Refs[i]
+	}
+	if same {
+		t.Error("multi-process trace ignores its Seed")
 	}
 }
