@@ -25,8 +25,13 @@ type memo[T any] struct {
 	misses  atomic.Int64
 }
 
+// A memoEntry's done channel exists only while its computation is in
+// flight: completion clears it under memo.mu, so a resident value costs
+// no channel. Readers holding memo.mu see done == nil exactly when
+// val/err are final; waiters take done under the lock and read val/err
+// after it closes.
 type memoEntry[T any] struct {
-	done chan struct{} // closed when val/err are final
+	done chan struct{} // closed when val/err are final; nil after that
 	val  T
 	err  error
 }
@@ -43,31 +48,52 @@ func (m *memo[T]) get(key string, compute func() (T, error)) (T, error) {
 	m.mu.Lock()
 	e, ok := m.entries[key]
 	if !ok {
-		e = &memoEntry[T]{done: make(chan struct{})}
+		done := make(chan struct{})
+		e = &memoEntry[T]{done: done}
 		m.entries[key] = e
 		m.mu.Unlock()
 
 		m.misses.Add(1)
-		e.val, e.err = compute()
-		if e.err != nil {
+		val, err := compute()
+		m.mu.Lock()
+		e.val, e.err, e.done = val, err, nil
+		if err != nil && m.entries[key] == e {
 			// Evict before releasing waiters: once done is closed no
 			// later lookup may observe the failed entry.
-			m.mu.Lock()
-			if m.entries[key] == e {
-				delete(m.entries, key)
-			}
-			m.mu.Unlock()
+			delete(m.entries, key)
 		}
-		close(e.done)
-		return e.val, e.err
+		m.mu.Unlock()
+		close(done)
+		return val, err
+	}
+	done := e.done
+	if done == nil {
+		// Completed: failed entries never stay resident.
+		val := e.val
+		m.mu.Unlock()
+		m.hits.Add(1)
+		return val, nil
 	}
 	m.mu.Unlock()
 
-	<-e.done
+	<-done
 	if e.err == nil {
 		m.hits.Add(1)
 	}
 	return e.val, e.err
+}
+
+// peek returns the completed, successful value for key without
+// computing it, waiting on it or counting a hit: ok is false when the
+// key is absent or still in flight.
+func (m *memo[T]) peek(key string) (val T, ok bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e, ok := m.entries[key]
+	if !ok || e.done != nil {
+		return val, false
+	}
+	return e.val, true
 }
 
 // Hits reports how many lookups were served a completed successful
@@ -93,12 +119,8 @@ func (m *memo[T]) snapshot() map[string]T {
 	defer m.mu.Unlock()
 	out := make(map[string]T, len(m.entries))
 	for k, e := range m.entries { //repro:allow iteration builds a map; JSON encoding sorts keys, so snapshot bytes are order-independent
-		select {
-		case <-e.done:
-			if e.err == nil {
-				out[k] = e.val
-			}
-		default:
+		if e.done == nil {
+			out[k] = e.val
 		}
 	}
 	return out
@@ -115,8 +137,6 @@ func (m *memo[T]) seed(vals map[string]T) {
 		if _, ok := m.entries[k]; ok {
 			continue
 		}
-		e := &memoEntry[T]{done: make(chan struct{}), val: v}
-		close(e.done)
-		m.entries[k] = e
+		m.entries[k] = &memoEntry[T]{val: v}
 	}
 }

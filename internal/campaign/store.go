@@ -63,6 +63,14 @@ func (s *Store) ResultRuns() int64 { return s.results.Misses() }
 // ResultHits is the cache-served result lookup count.
 func (s *Store) ResultHits() int64 { return s.results.Hits() }
 
+// Lookup returns the completed result stored for cfg. It never
+// computes, waits or counts a hit: ok is false when no finished task
+// has stored cfg's result yet. The sweep service rebuilds a finished
+// sweep's report through it instead of keeping a copy of every row.
+func (s *Store) Lookup(cfg TaskConfig) (Result, bool) {
+	return s.results.peek(cfg.Key())
+}
+
 // Len reports the resident entry counts (baselines, results),
 // including in-flight computations.
 func (s *Store) Len() (baselines, results int) {

@@ -345,3 +345,30 @@ func TestStoreSaveLoadFile(t *testing.T) {
 		t.Errorf("missing checkpoint: err = %v, want ErrNotExist", err)
 	}
 }
+
+// Lookup reads completed results without computing or counting: a
+// missing key stays missing, and a stored one comes back unchanged.
+func TestStoreLookupNeverComputes(t *testing.T) {
+	spec := Spec{Engines: []string{"xom"}, Workloads: []string{"sequential"}, Refs: []int{2000}}
+	r, err := NewRunner(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := r.Store()
+	task := r.Plan()[0]
+	if _, ok := store.Lookup(task.Cfg); ok {
+		t.Fatal("Lookup found a result nobody computed")
+	}
+	if store.ResultRuns() != 0 {
+		t.Fatal("Lookup computed a result")
+	}
+	want := r.Exec(task)
+	got, ok := store.Lookup(task.Cfg)
+	if !ok || got != want {
+		t.Fatalf("Lookup = %+v, %v; want %+v", got, ok, want)
+	}
+	if store.ResultRuns() != 1 || store.ResultHits() != 0 {
+		t.Errorf("Lookup moved the counters: runs %d hits %d, want 1 and 0",
+			store.ResultRuns(), store.ResultHits())
+	}
+}

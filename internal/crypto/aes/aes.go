@@ -5,13 +5,22 @@
 // timing models charge cycles from their own pipeline parameters; this
 // package only supplies the whole-block Encrypt/Decrypt.
 //
-// The S-box and round constants are derived programmatically from GF(2^8)
-// arithmetic rather than pasted as literal tables; correctness is
-// cross-checked against the Go standard library's crypto/aes in the test
-// suite and against the FIPS-197 appendix vectors.
+// The rounds run on 32-bit T-tables: each te/td entry folds SubBytes
+// (or InvSubBytes) and one column of MixColumns (or InvMixColumns) for
+// one input byte, and ShiftRows becomes the choice of which state word
+// feeds which table, so a round is 16 lookups plus the round key. The
+// S-box, round constants and T-tables are all derived at init from
+// GF(2^8) arithmetic rather than pasted as literal tables; correctness
+// is cross-checked against the Go standard library's crypto/aes in the
+// test suite (including a differential fuzz target) and against the
+// FIPS-197 appendix vectors.
 package aes
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"math/bits"
+)
 
 // BlockSize is the AES block size in bytes (fixed by the standard).
 const BlockSize = 16
@@ -29,6 +38,13 @@ var (
 	sbox    [256]byte
 	invSbox [256]byte
 )
+
+// te0..te3 and td0..td3 are the encryption and decryption T-tables,
+// built in init. te0[x] is the MixColumns column (2s, s, s, 3s) of
+// s = sbox[x], big-endian in the word; td0[x] is the InvMixColumns
+// column (14s, 9s, 13s, 11s) of s = invSbox[x]. teN and tdN are the
+// same words rotated right by 8N bits, for the byte in row N.
+var te0, te1, te2, te3, td0, td1, td2, td3 [256]uint32
 
 // mul multiplies two elements of GF(2^8) modulo the AES polynomial
 // x^8 + x^4 + x^3 + x + 1 (0x11b).
@@ -71,6 +87,14 @@ func init() {
 		y := x ^ rotl8(x, 1) ^ rotl8(x, 2) ^ rotl8(x, 3) ^ rotl8(x, 4) ^ 0x63
 		sbox[i] = y
 		invSbox[y] = byte(i)
+	}
+	for i := 0; i < 256; i++ {
+		s := sbox[i]
+		w := uint32(mul(s, 2))<<24 | uint32(s)<<16 | uint32(s)<<8 | uint32(mul(s, 3))
+		te0[i], te1[i], te2[i], te3[i] = w, bits.RotateLeft32(w, -8), bits.RotateLeft32(w, -16), bits.RotateLeft32(w, -24)
+		s = invSbox[i]
+		w = uint32(mul(s, 14))<<24 | uint32(mul(s, 9))<<16 | uint32(mul(s, 13))<<8 | uint32(mul(s, 11))
+		td0[i], td1[i], td2[i], td3[i] = w, bits.RotateLeft32(w, -8), bits.RotateLeft32(w, -16), bits.RotateLeft32(w, -24)
 	}
 }
 
@@ -117,7 +141,7 @@ func (c *Cipher) expandKey(key []byte) {
 	n := 4 * (c.rounds + 1)
 	w := make([]uint32, n)
 	for i := 0; i < nk; i++ {
-		w[i] = uint32(key[4*i])<<24 | uint32(key[4*i+1])<<16 | uint32(key[4*i+2])<<8 | uint32(key[4*i+3])
+		w[i] = binary.BigEndian.Uint32(key[4*i:])
 	}
 	rcon := uint32(1) << 24
 	for i := nk; i < n; i++ {
@@ -150,114 +174,13 @@ func (c *Cipher) expandKey(key []byte) {
 
 func rotWord(w uint32) uint32 { return w<<8 | w>>24 }
 
-func subWord(w uint32) uint32 {
-	return uint32(sbox[w>>24])<<24 | uint32(sbox[w>>16&0xff])<<16 |
-		uint32(sbox[w>>8&0xff])<<8 | uint32(sbox[w&0xff])
-}
+func subWord(w uint32) uint32 { return subShift(&sbox, w, w, w, w) }
 
+// invMixWord applies InvMixColumns to one round-key word. td0[sbox[b]]
+// is the InvMixColumns column of b itself, so the decryption T-tables
+// serve the key schedule too.
 func invMixWord(w uint32) uint32 {
-	b0, b1, b2, b3 := byte(w>>24), byte(w>>16), byte(w>>8), byte(w)
-	return uint32(mul(b0, 14)^mul(b1, 11)^mul(b2, 13)^mul(b3, 9))<<24 |
-		uint32(mul(b0, 9)^mul(b1, 14)^mul(b2, 11)^mul(b3, 13))<<16 |
-		uint32(mul(b0, 13)^mul(b1, 9)^mul(b2, 14)^mul(b3, 11))<<8 |
-		uint32(mul(b0, 11)^mul(b1, 13)^mul(b2, 9)^mul(b3, 14))
-}
-
-// state is the 4x4 AES state held column-major in four words, matching
-// the word layout of the round keys.
-type state [4]uint32
-
-func loadState(src []byte) state {
-	var s state
-	for i := 0; i < 4; i++ {
-		s[i] = uint32(src[4*i])<<24 | uint32(src[4*i+1])<<16 | uint32(src[4*i+2])<<8 | uint32(src[4*i+3])
-	}
-	return s
-}
-
-func (s state) store(dst []byte) {
-	for i := 0; i < 4; i++ {
-		dst[4*i] = byte(s[i] >> 24)
-		dst[4*i+1] = byte(s[i] >> 16)
-		dst[4*i+2] = byte(s[i] >> 8)
-		dst[4*i+3] = byte(s[i])
-	}
-}
-
-func (s *state) addRoundKey(rk []uint32) {
-	s[0] ^= rk[0]
-	s[1] ^= rk[1]
-	s[2] ^= rk[2]
-	s[3] ^= rk[3]
-}
-
-func (s *state) subBytes(box *[256]byte) {
-	for i := 0; i < 4; i++ {
-		w := s[i]
-		s[i] = uint32(box[w>>24])<<24 | uint32(box[w>>16&0xff])<<16 |
-			uint32(box[w>>8&0xff])<<8 | uint32(box[w&0xff])
-	}
-}
-
-// shiftRows rotates row r left by r bytes. With column-major words, row r
-// is byte r of every word, so we gather/scatter through a byte matrix;
-// clarity wins over micro-optimization here (the engines model timing
-// separately, they do not depend on software throughput).
-func (s *state) shiftRows() {
-	var m [4][4]byte
-	for c := 0; c < 4; c++ {
-		m[0][c] = byte(s[c] >> 24)
-		m[1][c] = byte(s[c] >> 16)
-		m[2][c] = byte(s[c] >> 8)
-		m[3][c] = byte(s[c])
-	}
-	for r := 1; r < 4; r++ {
-		var row [4]byte
-		for c := 0; c < 4; c++ {
-			row[c] = m[r][(c+r)%4]
-		}
-		m[r] = row
-	}
-	for c := 0; c < 4; c++ {
-		s[c] = uint32(m[0][c])<<24 | uint32(m[1][c])<<16 | uint32(m[2][c])<<8 | uint32(m[3][c])
-	}
-}
-
-func (s *state) invShiftRows() {
-	var m [4][4]byte
-	for c := 0; c < 4; c++ {
-		m[0][c] = byte(s[c] >> 24)
-		m[1][c] = byte(s[c] >> 16)
-		m[2][c] = byte(s[c] >> 8)
-		m[3][c] = byte(s[c])
-	}
-	for r := 1; r < 4; r++ {
-		var row [4]byte
-		for c := 0; c < 4; c++ {
-			row[(c+r)%4] = m[r][c]
-		}
-		m[r] = row
-	}
-	for c := 0; c < 4; c++ {
-		s[c] = uint32(m[0][c])<<24 | uint32(m[1][c])<<16 | uint32(m[2][c])<<8 | uint32(m[3][c])
-	}
-}
-
-func (s *state) mixColumns() {
-	for i := 0; i < 4; i++ {
-		w := s[i]
-		b0, b1, b2, b3 := byte(w>>24), byte(w>>16), byte(w>>8), byte(w)
-		s[i] = uint32(mul(b0, 2)^mul(b1, 3)^b2^b3)<<24 |
-			uint32(b0^mul(b1, 2)^mul(b2, 3)^b3)<<16 |
-			uint32(b0^b1^mul(b2, 2)^mul(b3, 3))<<8 |
-			uint32(mul(b0, 3)^b1^b2^mul(b3, 2))
-	}
-}
-
-func (s *state) invMixColumns() {
-	for i := 0; i < 4; i++ {
-		s[i] = invMixWord(s[i])
-	}
+	return td0[sbox[w>>24]] ^ td1[sbox[w>>16&0xff]] ^ td2[sbox[w>>8&0xff]] ^ td3[sbox[w&0xff]]
 }
 
 // Encrypt encrypts exactly one 16-byte block from src into dst.
@@ -266,18 +189,27 @@ func (c *Cipher) Encrypt(dst, src []byte) {
 	if len(src) < BlockSize || len(dst) < BlockSize {
 		panic("aes: input not full block")
 	}
-	s := loadState(src)
-	s.addRoundKey(c.enc[0:4])
+	// The state is column-major: word c holds column c, row 0 in its
+	// top byte, matching the round-key word layout.
+	k := c.enc
+	s0 := binary.BigEndian.Uint32(src[0:4]) ^ k[0]
+	s1 := binary.BigEndian.Uint32(src[4:8]) ^ k[1]
+	s2 := binary.BigEndian.Uint32(src[8:12]) ^ k[2]
+	s3 := binary.BigEndian.Uint32(src[12:16]) ^ k[3]
 	for r := 1; r < c.rounds; r++ {
-		s.subBytes(&sbox)
-		s.shiftRows()
-		s.mixColumns()
-		s.addRoundKey(c.enc[4*r : 4*r+4])
+		k = k[4:]
+		t0 := te0[s0>>24] ^ te1[s1>>16&0xff] ^ te2[s2>>8&0xff] ^ te3[s3&0xff] ^ k[0]
+		t1 := te0[s1>>24] ^ te1[s2>>16&0xff] ^ te2[s3>>8&0xff] ^ te3[s0&0xff] ^ k[1]
+		t2 := te0[s2>>24] ^ te1[s3>>16&0xff] ^ te2[s0>>8&0xff] ^ te3[s1&0xff] ^ k[2]
+		t3 := te0[s3>>24] ^ te1[s0>>16&0xff] ^ te2[s1>>8&0xff] ^ te3[s2&0xff] ^ k[3]
+		s0, s1, s2, s3 = t0, t1, t2, t3
 	}
-	s.subBytes(&sbox)
-	s.shiftRows()
-	s.addRoundKey(c.enc[4*c.rounds : 4*c.rounds+4])
-	s.store(dst)
+	// The last round has no MixColumns: SubBytes and ShiftRows only.
+	k = k[4:]
+	binary.BigEndian.PutUint32(dst[0:4], subShift(&sbox, s0, s1, s2, s3)^k[0])
+	binary.BigEndian.PutUint32(dst[4:8], subShift(&sbox, s1, s2, s3, s0)^k[1])
+	binary.BigEndian.PutUint32(dst[8:12], subShift(&sbox, s2, s3, s0, s1)^k[2])
+	binary.BigEndian.PutUint32(dst[12:16], subShift(&sbox, s3, s0, s1, s2)^k[3])
 }
 
 // Decrypt decrypts exactly one 16-byte block from src into dst using the
@@ -286,16 +218,30 @@ func (c *Cipher) Decrypt(dst, src []byte) {
 	if len(src) < BlockSize || len(dst) < BlockSize {
 		panic("aes: input not full block")
 	}
-	s := loadState(src)
-	s.addRoundKey(c.dec[0:4])
+	k := c.dec
+	s0 := binary.BigEndian.Uint32(src[0:4]) ^ k[0]
+	s1 := binary.BigEndian.Uint32(src[4:8]) ^ k[1]
+	s2 := binary.BigEndian.Uint32(src[8:12]) ^ k[2]
+	s3 := binary.BigEndian.Uint32(src[12:16]) ^ k[3]
 	for r := 1; r < c.rounds; r++ {
-		s.subBytes(&invSbox)
-		s.invShiftRows()
-		s.invMixColumns()
-		s.addRoundKey(c.dec[4*r : 4*r+4])
+		k = k[4:]
+		t0 := td0[s0>>24] ^ td1[s3>>16&0xff] ^ td2[s2>>8&0xff] ^ td3[s1&0xff] ^ k[0]
+		t1 := td0[s1>>24] ^ td1[s0>>16&0xff] ^ td2[s3>>8&0xff] ^ td3[s2&0xff] ^ k[1]
+		t2 := td0[s2>>24] ^ td1[s1>>16&0xff] ^ td2[s0>>8&0xff] ^ td3[s3&0xff] ^ k[2]
+		t3 := td0[s3>>24] ^ td1[s2>>16&0xff] ^ td2[s1>>8&0xff] ^ td3[s0&0xff] ^ k[3]
+		s0, s1, s2, s3 = t0, t1, t2, t3
 	}
-	s.subBytes(&invSbox)
-	s.invShiftRows()
-	s.addRoundKey(c.dec[4*c.rounds : 4*c.rounds+4])
-	s.store(dst)
+	k = k[4:]
+	binary.BigEndian.PutUint32(dst[0:4], subShift(&invSbox, s0, s3, s2, s1)^k[0])
+	binary.BigEndian.PutUint32(dst[4:8], subShift(&invSbox, s1, s0, s3, s2)^k[1])
+	binary.BigEndian.PutUint32(dst[8:12], subShift(&invSbox, s2, s1, s0, s3)^k[2])
+	binary.BigEndian.PutUint32(dst[12:16], subShift(&invSbox, s3, s2, s1, s0)^k[3])
+}
+
+// subShift builds one output column of a final round: row r's byte is
+// box applied to row r of column wr, where the caller passes the
+// columns ShiftRows (or InvShiftRows) routes into this one.
+func subShift(box *[256]byte, w0, w1, w2, w3 uint32) uint32 {
+	return uint32(box[w0>>24])<<24 | uint32(box[w1>>16&0xff])<<16 |
+		uint32(box[w2>>8&0xff])<<8 | uint32(box[w3&0xff])
 }

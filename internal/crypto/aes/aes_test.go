@@ -18,15 +18,16 @@ func mustHex(t *testing.T, s string) []byte {
 	return b
 }
 
-// FIPS-197 Appendix B / C vectors.
+// fipsVectors are the FIPS-197 Appendix B / C vectors.
+var fipsVectors = []struct{ key, pt, ct string }{
+	{"2b7e151628aed2a6abf7158809cf4f3c", "3243f6a8885a308d313198a2e0370734", "3925841d02dc09fbdc118597196a0b32"},
+	{"000102030405060708090a0b0c0d0e0f", "00112233445566778899aabbccddeeff", "69c4e0d86a7b0430d8cdb78070b4c55a"},
+	{"000102030405060708090a0b0c0d0e0f1011121314151617", "00112233445566778899aabbccddeeff", "dda97ca4864cdfe06eaf70a0ec0d7191"},
+	{"000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f", "00112233445566778899aabbccddeeff", "8ea2b7ca516745bfeafc49904b496089"},
+}
+
 func TestFIPSVectors(t *testing.T) {
-	cases := []struct{ key, pt, ct string }{
-		{"2b7e151628aed2a6abf7158809cf4f3c", "3243f6a8885a308d313198a2e0370734", "3925841d02dc09fbdc118597196a0b32"},
-		{"000102030405060708090a0b0c0d0e0f", "00112233445566778899aabbccddeeff", "69c4e0d86a7b0430d8cdb78070b4c55a"},
-		{"000102030405060708090a0b0c0d0e0f1011121314151617", "00112233445566778899aabbccddeeff", "dda97ca4864cdfe06eaf70a0ec0d7191"},
-		{"000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f", "00112233445566778899aabbccddeeff", "8ea2b7ca516745bfeafc49904b496089"},
-	}
-	for _, c := range cases {
+	for _, c := range fipsVectors {
 		ci, err := New(mustHex(t, c.key))
 		if err != nil {
 			t.Fatal(err)
@@ -105,6 +106,41 @@ func TestAgainstStdlib(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzAgainstStdlib is the differential oracle: for any key and block
+// the fuzzer finds, New must accept exactly the key sizes crypto/aes
+// accepts, and Encrypt and Decrypt must match it byte for byte. Blocks
+// are zero-padded or truncated to 16 bytes.
+func FuzzAgainstStdlib(f *testing.F) {
+	for _, v := range fipsVectors {
+		key, _ := hex.DecodeString(v.key)
+		pt, _ := hex.DecodeString(v.pt)
+		f.Add(key, pt)
+	}
+	f.Fuzz(func(t *testing.T, key, block []byte) {
+		ours, err := New(key)
+		ref, refErr := stdaes.NewCipher(key)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("key length %d: New error %v, crypto/aes error %v", len(key), err, refErr)
+		}
+		if err != nil {
+			return
+		}
+		var in [BlockSize]byte
+		copy(in[:], block)
+		var got, want [BlockSize]byte
+		ours.Encrypt(got[:], in[:])
+		ref.Encrypt(want[:], in[:])
+		if got != want {
+			t.Fatalf("encrypt key %x block %x: got %x, want %x", key, in, got, want)
+		}
+		ours.Decrypt(got[:], in[:])
+		ref.Decrypt(want[:], in[:])
+		if got != want {
+			t.Fatalf("decrypt key %x block %x: got %x, want %x", key, in, got, want)
+		}
+	})
 }
 
 // TestEncryptDecryptInverse is the property-based roundtrip check.

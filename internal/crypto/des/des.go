@@ -7,10 +7,21 @@
 // triple-DES. The engines' timing models charge cycles from their own
 // pipeline parameters; this package only supplies whole-block
 // Encrypt/Decrypt. Correctness is cross-checked against crypto/des in the
-// tests.
+// tests, including differential fuzz targets.
+//
+// The standard's bit-position tables below are the single source of
+// truth; init folds them into lookup tables so a block costs table
+// lookups rather than bit-at-a-time permutations. Each S-box is merged
+// with the P permutation into one word table (spBox), the expansion E
+// becomes a rotation per S-box, and IP/FP are applied a byte at a time
+// through tables built with permute.
 package des
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"math/bits"
+)
 
 // BlockSize is the DES block size in bytes.
 const BlockSize = 8
@@ -42,6 +53,8 @@ var finalPermutation = [64]byte{
 	33, 1, 41, 9, 49, 17, 57, 25,
 }
 
+// expansion is E. feistel realizes it with one rotation per S-box
+// instead of a lookup; TestExpansionByRotation checks the two agree.
 var expansion = [48]byte{
 	32, 1, 2, 3, 4, 5,
 	4, 5, 6, 7, 8, 9,
@@ -148,6 +161,39 @@ func permute(src uint64, width uint, table []byte) uint64 {
 	return out
 }
 
+// spBox[i][x] is P applied to S-box i's output for the 6-bit input x,
+// with the 4 output bits placed where S-box i writes them.
+var spBox [8][64]uint32
+
+// ipTable[j][b] and fpTable[j][b] are IP and FP of a block whose only
+// nonzero byte is byte j (big-endian) with value b. Both permutations
+// are linear over XOR, so a block's image is the XOR of its 8 bytes'.
+var ipTable, fpTable [8][256]uint64
+
+func init() {
+	for i := 0; i < 8; i++ {
+		for x := 0; x < 64; x++ {
+			row := (x&0x20)>>4 | x&1
+			col := (x >> 1) & 0x0f
+			out := uint64(sBoxes[i][row][col]) << (28 - 4*uint(i))
+			spBox[i][x] = uint32(permute(out, 32, pPermutation[:]))
+		}
+	}
+	for j := 0; j < 8; j++ {
+		for b := 0; b < 256; b++ {
+			v := uint64(b) << (56 - 8*uint(j))
+			ipTable[j][b] = permute(v, 64, initialPermutation[:])
+			fpTable[j][b] = permute(v, 64, finalPermutation[:])
+		}
+	}
+}
+
+// permuteBytes applies a byte-sliced permutation table to v.
+func permuteBytes(t *[8][256]uint64, v uint64) uint64 {
+	return t[0][v>>56] ^ t[1][v>>48&0xff] ^ t[2][v>>40&0xff] ^ t[3][v>>32&0xff] ^
+		t[4][v>>24&0xff] ^ t[5][v>>16&0xff] ^ t[6][v>>8&0xff] ^ t[7][v&0xff]
+}
+
 // KeySizeError reports an unsupported key length.
 type KeySizeError int
 
@@ -157,7 +203,9 @@ func (k KeySizeError) Error() string {
 
 // Cipher is a single-DES instance with its 16 expanded subkeys.
 type Cipher struct {
-	subkeys [Rounds]uint64 // 48-bit round keys
+	// subkeys[r][i] is the 6-bit chunk of round r's 48-bit key that
+	// meets S-box i.
+	subkeys [Rounds][8]uint8
 }
 
 // New expands an 8-byte key (parity bits ignored, as hardware does) into
@@ -167,23 +215,8 @@ func New(key []byte) (*Cipher, error) {
 		return nil, KeySizeError(len(key))
 	}
 	c := &Cipher{}
-	c.expandKey(beUint64(key))
+	c.expandKey(binary.BigEndian.Uint64(key))
 	return c, nil
-}
-
-func beUint64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
-}
-
-func putBeUint64(b []byte, v uint64) {
-	for i := 7; i >= 0; i-- {
-		b[i] = byte(v)
-		v >>= 8
-	}
 }
 
 func (c *Cipher) expandKey(key uint64) {
@@ -195,25 +228,44 @@ func (c *Cipher) expandKey(key uint64) {
 		cHalf = ((cHalf << s) | (cHalf >> (28 - s))) & 0x0fffffff
 		dHalf = ((dHalf << s) | (dHalf >> (28 - s))) & 0x0fffffff
 		cd := uint64(cHalf)<<28 | uint64(dHalf)
-		c.subkeys[r] = permute(cd, 56, permutedChoice2[:])
+		k48 := permute(cd, 56, permutedChoice2[:])
+		for i := 0; i < 8; i++ {
+			c.subkeys[r][i] = uint8(k48>>(42-6*uint(i))) & 0x3f
+		}
 	}
 }
 
 // BlockSize returns 8.
 func (c *Cipher) BlockSize() int { return BlockSize }
 
-// feistel is the DES round function f(R, K).
-func feistel(r uint32, subkey uint64) uint32 {
-	e := permute(uint64(r), 32, expansion[:]) // 48 bits
-	x := e ^ subkey
-	var out uint32
-	for i := 0; i < 8; i++ {
-		six := byte(x >> (uint(7-i) * 6) & 0x3f)
-		row := (six&0x20)>>4 | six&1
-		col := (six >> 1) & 0x0f
-		out = out<<4 | uint32(sBoxes[i][row][col])
+// feistel is the DES round function f(R, K). Expansion chunk i is R's
+// 1-based bits 4i..4i+5 (wrapping), which a left rotation by 4i-1
+// brings to the top six bits.
+func feistel(r uint32, k *[8]uint8) uint32 {
+	return spBox[0][bits.RotateLeft32(r, -1)>>26^uint32(k[0])] ^
+		spBox[1][bits.RotateLeft32(r, 3)>>26^uint32(k[1])] ^
+		spBox[2][bits.RotateLeft32(r, 7)>>26^uint32(k[2])] ^
+		spBox[3][bits.RotateLeft32(r, 11)>>26^uint32(k[3])] ^
+		spBox[4][bits.RotateLeft32(r, 15)>>26^uint32(k[4])] ^
+		spBox[5][bits.RotateLeft32(r, 19)>>26^uint32(k[5])] ^
+		spBox[6][bits.RotateLeft32(r, 23)>>26^uint32(k[6])] ^
+		spBox[7][bits.RotateLeft32(r, 27)>>26^uint32(k[7])]
+}
+
+// rounds runs the 16 Feistel rounds on the permuted halves (l, r) and
+// returns the swapped pre-output (R16, L16). Decryption runs the
+// subkeys in reverse.
+func (c *Cipher) rounds(l, r uint32, decrypt bool) (uint32, uint32) {
+	if decrypt {
+		for i := Rounds - 1; i >= 0; i-- {
+			l, r = r, l^feistel(r, &c.subkeys[i])
+		}
+	} else {
+		for i := 0; i < Rounds; i++ {
+			l, r = r, l^feistel(r, &c.subkeys[i])
+		}
 	}
-	return uint32(permute(uint64(out), 32, pPermutation[:]))
+	return r, l
 }
 
 // Encrypt encrypts one 8-byte block.
@@ -226,18 +278,9 @@ func (c *Cipher) crypt(dst, src []byte, decrypt bool) {
 	if len(src) < BlockSize || len(dst) < BlockSize {
 		panic("des: input not full block")
 	}
-	v := permute(beUint64(src), 64, initialPermutation[:])
-	l, r := uint32(v>>32), uint32(v)
-	for i := 0; i < Rounds; i++ {
-		k := c.subkeys[i]
-		if decrypt {
-			k = c.subkeys[Rounds-1-i]
-		}
-		l, r = r, l^feistel(r, k)
-	}
-	// Swap halves before the final permutation (the "pre-output" R16L16).
-	out := permute(uint64(r)<<32|uint64(l), 64, finalPermutation[:])
-	putBeUint64(dst, out)
+	v := permuteBytes(&ipTable, binary.BigEndian.Uint64(src))
+	l, r := c.rounds(uint32(v>>32), uint32(v), decrypt)
+	binary.BigEndian.PutUint64(dst, permuteBytes(&fpTable, uint64(l)<<32|uint64(r)))
 }
 
 // TripleCipher is EDE triple DES. With a 16-byte key it runs EDE2
@@ -275,18 +318,23 @@ func NewTriple(key []byte) (*TripleCipher, error) {
 // BlockSize returns 8.
 func (t *TripleCipher) BlockSize() int { return BlockSize }
 
-// Encrypt performs EDE encryption of one block.
-func (t *TripleCipher) Encrypt(dst, src []byte) {
-	var tmp [BlockSize]byte
-	t.c1.Encrypt(tmp[:], src)
-	t.c2.Decrypt(tmp[:], tmp[:])
-	t.c3.Encrypt(dst, tmp[:])
-}
+// Encrypt performs EDE encryption of one block. FP followed by IP is
+// the identity, so the three stages hand their pre-outputs straight to
+// each other and only the outer IP and FP are applied.
+func (t *TripleCipher) Encrypt(dst, src []byte) { t.crypt(dst, src, t.c1, t.c3, false) }
 
 // Decrypt performs EDE decryption of one block.
-func (t *TripleCipher) Decrypt(dst, src []byte) {
-	var tmp [BlockSize]byte
-	t.c3.Decrypt(tmp[:], src)
-	t.c2.Encrypt(tmp[:], tmp[:])
-	t.c1.Decrypt(dst, tmp[:])
+func (t *TripleCipher) Decrypt(dst, src []byte) { t.crypt(dst, src, t.c3, t.c1, true) }
+
+// crypt runs first, c2, last with the middle stage in the opposite
+// direction.
+func (t *TripleCipher) crypt(dst, src []byte, first, last *Cipher, decrypt bool) {
+	if len(src) < BlockSize || len(dst) < BlockSize {
+		panic("des: input not full block")
+	}
+	v := permuteBytes(&ipTable, binary.BigEndian.Uint64(src))
+	l, r := first.rounds(uint32(v>>32), uint32(v), decrypt)
+	l, r = t.c2.rounds(l, r, !decrypt)
+	l, r = last.rounds(l, r, decrypt)
+	binary.BigEndian.PutUint64(dst, permuteBytes(&fpTable, uint64(l)<<32|uint64(r)))
 }

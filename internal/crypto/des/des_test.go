@@ -2,21 +2,25 @@ package des
 
 import (
 	"bytes"
+	"crypto/cipher"
 	stddes "crypto/des"
 	"encoding/hex"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
-// Classic published DES vector (and the degenerate all-zero one).
+// knownVectors are the classic published DES vector and the degenerate
+// all-zero and all-one ones.
+var knownVectors = []struct{ key, pt, ct string }{
+	{"133457799bbcdff1", "0123456789abcdef", "85e813540f0ab405"},
+	{"0000000000000000", "0000000000000000", "8ca64de9c1b123a7"},
+	{"ffffffffffffffff", "ffffffffffffffff", "7359b2163e4edc58"},
+}
+
 func TestKnownVectors(t *testing.T) {
-	cases := []struct{ key, pt, ct string }{
-		{"133457799bbcdff1", "0123456789abcdef", "85e813540f0ab405"},
-		{"0000000000000000", "0000000000000000", "8ca64de9c1b123a7"},
-		{"ffffffffffffffff", "ffffffffffffffff", "7359b2163e4edc58"},
-	}
-	for _, c := range cases {
+	for _, c := range knownVectors {
 		key, _ := hex.DecodeString(c.key)
 		pt, _ := hex.DecodeString(c.pt)
 		ci, err := New(key)
@@ -91,6 +95,81 @@ func TestTripleAgainstStdlib(t *testing.T) {
 			t.Fatal("3des roundtrip failed")
 		}
 	}
+}
+
+// checkAgainst compares Encrypt and Decrypt of ours with ref on one
+// block, zero-padded or truncated to 8 bytes.
+func checkAgainst(t *testing.T, ours, ref cipher.Block, key, block []byte) {
+	t.Helper()
+	var in [BlockSize]byte
+	copy(in[:], block)
+	var got, want [BlockSize]byte
+	ours.Encrypt(got[:], in[:])
+	ref.Encrypt(want[:], in[:])
+	if got != want {
+		t.Fatalf("encrypt key %x block %x: got %x, want %x", key, in, got, want)
+	}
+	ours.Decrypt(got[:], in[:])
+	ref.Decrypt(want[:], in[:])
+	if got != want {
+		t.Fatalf("decrypt key %x block %x: got %x, want %x", key, in, got, want)
+	}
+}
+
+// FuzzAgainstStdlib is the differential oracle for single DES: New must
+// accept exactly the keys crypto/des accepts, and Encrypt and Decrypt
+// must match it byte for byte.
+func FuzzAgainstStdlib(f *testing.F) {
+	for _, v := range knownVectors {
+		key, _ := hex.DecodeString(v.key)
+		pt, _ := hex.DecodeString(v.pt)
+		f.Add(key, pt)
+	}
+	f.Fuzz(func(t *testing.T, key, block []byte) {
+		ours, err := New(key)
+		ref, refErr := stddes.NewCipher(key)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("key length %d: New error %v, crypto/des error %v", len(key), err, refErr)
+		}
+		if err == nil {
+			checkAgainst(t, ours, ref, key, block)
+		}
+	})
+}
+
+// FuzzTripleAgainstStdlib is the 3-DES oracle. crypto/des takes only
+// 24-byte keys, so a 16-byte EDE2 key K1‖K2 is checked against
+// K1‖K2‖K1; every other length must be rejected.
+func FuzzTripleAgainstStdlib(f *testing.F) {
+	for _, v := range knownVectors {
+		key, _ := hex.DecodeString(v.key)
+		pt, _ := hex.DecodeString(v.pt)
+		f.Add(bytes.Repeat(key, 3), pt)
+		f.Add(bytes.Repeat(key, 2), pt)
+	}
+	f.Fuzz(func(t *testing.T, key, block []byte) {
+		ours, err := NewTriple(key)
+		var refKey []byte
+		switch len(key) {
+		case 16:
+			refKey = append(append([]byte{}, key...), key[:8]...)
+		case 24:
+			refKey = key
+		default:
+			if err == nil {
+				t.Fatalf("NewTriple accepted a %d-byte key", len(key))
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("NewTriple(%d-byte key): %v", len(key), err)
+		}
+		ref, err := stddes.NewTripleDESCipher(refKey)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAgainst(t, ours, ref, key, block)
+	})
 }
 
 // EDE2 with K1==K2==K3 degenerates to single DES; EDE2 (16-byte key)
@@ -184,6 +263,22 @@ func TestComplementationProperty(t *testing.T) {
 		for i := range a {
 			if a[i] != ^b[i] {
 				t.Fatalf("complementation property violated at byte %d", i)
+			}
+		}
+	}
+}
+
+// TestExpansionByRotation checks the rotation form of E that feistel
+// uses against the standard's expansion table.
+func TestExpansionByRotation(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 1000; trial++ {
+		r := rng.Uint32()
+		e := permute(uint64(r), 32, expansion[:])
+		for i := 0; i < 8; i++ {
+			want := uint32(e>>(42-6*uint(i))) & 0x3f
+			if got := bits.RotateLeft32(r, 4*i-1) >> 26; got != want {
+				t.Fatalf("r=%#x chunk %d: rotation gives %#x, table %#x", r, i, got, want)
 			}
 		}
 	}

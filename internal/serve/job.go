@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"sync"
 
 	"repro/internal/campaign"
@@ -47,13 +48,17 @@ type Status struct {
 }
 
 // sweepJob is one admitted sweep: its runner (sharing the server
-// store), its private metrics registry, the canonical-order result
-// re-sequencer the NDJSON stream reads, and the final report. Once the
+// store), its private metrics registry, and the canonical-order result
+// re-sequencer the NDJSON stream and the final report read. Once the
 // sweep finishes, release keeps only what a finished sweep serves: the
-// report, the trace, and a status snapshot.
+// spec, the trace, a status snapshot and, for canceled or traced
+// sweeps, the result rows. A done, untraced sweep keeps no rows: the
+// shared store holds every one of them, so its report and replay are
+// rebuilt from the spec per request (rows).
 type sweepJob struct {
 	id     string
 	spec   campaign.Spec
+	store  *campaign.Store
 	runner *campaign.Runner
 	reg    *obs.Registry
 	tracer *campaign.Tracer
@@ -71,7 +76,6 @@ type sweepJob struct {
 	// is the canonical one regardless of worker scheduling.
 	avail  int
 	notify chan struct{}
-	report *campaign.Report
 	err    error
 	// final is the status sampled at release; status serves it once
 	// the runner and registry are gone (reg == nil).
@@ -83,6 +87,7 @@ func newSweepJob(id string, runner *campaign.Runner, reg *obs.Registry) *sweepJo
 	return &sweepJob{
 		id:     id,
 		spec:   runner.Spec(),
+		store:  runner.Store(),
 		runner: runner,
 		reg:    reg,
 		ctx:    ctx,
@@ -126,8 +131,9 @@ func (j *sweepJob) record(t campaign.Task, res campaign.Result) {
 }
 
 // finalize fills every never-run slot with its Canceled placeholder,
-// assembles the canonical report (identical to what Runner.RunContext
-// would have returned), and settles the terminal state.
+// which completes the canonical rows (identical to what
+// Runner.RunContext would have returned), and settles the terminal
+// state.
 func (j *sweepJob) finalize() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -138,11 +144,6 @@ func (j *sweepJob) finalize() {
 		}
 	}
 	j.avail = len(j.out)
-	j.report = &campaign.Report{
-		Spec:    j.spec,
-		Results: j.out,
-		Summary: campaign.Summarize(j.out),
-	}
 	if err := j.ctx.Err(); err != nil {
 		j.state = StateCanceled
 		j.err = err
@@ -152,22 +153,62 @@ func (j *sweepJob) finalize() {
 	j.broadcast()
 }
 
-// finished reports whether the job reached a terminal state; the
-// report is non-nil exactly then.
-func (j *sweepJob) finished() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.report != nil
+// terminalLocked reports whether the job finished; callers hold j.mu.
+func (j *sweepJob) terminalLocked() bool {
+	return j.state == StateDone || j.state == StateCanceled
 }
 
 // release snapshots the status of a finished job, then drops the
 // runner, its metrics registry, the task plan and the done flags, which
-// only a running sweep needs.
+// only a running sweep needs. A done, untraced sweep drops its rows
+// too: they are the shared store's values. A canceled sweep keeps its
+// rows for the Canceled placeholders the store never holds, and a
+// traced one for the recorded streams its rows carry (Result.Trace,
+// what campaign.TraceOf merges).
 func (j *sweepJob) release() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.final = j.statusLocked()
-	j.runner, j.reg, j.tasks, j.done = nil, nil, nil, nil
+	if j.state == StateDone && j.tracer == nil {
+		j.out = nil
+	}
+	// No row is released after this, so nobody needs waking again.
+	j.runner, j.reg, j.tasks, j.done, j.notify = nil, nil, nil, nil, nil
+}
+
+// rows returns the released rows from index from on, whether the sweep
+// has finished (then they run to the end of the grid), and the channel
+// the next release of rows closes.
+func (j *sweepJob) rows(from int) ([]campaign.Result, bool, <-chan struct{}, error) {
+	j.mu.Lock()
+	out, avail, terminal, ch := j.out, j.avail, j.terminalLocked(), j.notify
+	j.mu.Unlock()
+	if terminal && out == nil {
+		all, err := j.fromStore()
+		if err != nil {
+			return nil, true, ch, err
+		}
+		return all[from:], true, ch, nil
+	}
+	// Released rows are immutable once avail covers them, so the slice
+	// can be read outside the lock.
+	return out[from:avail], terminal, ch, nil
+}
+
+// fromStore rebuilds a released done sweep's rows: it re-expands the
+// spec and reads each task's result from the shared store, which holds
+// every task a done sweep ran and never evicts.
+func (j *sweepJob) fromStore() ([]campaign.Result, error) {
+	tasks := j.spec.Expand()
+	out := make([]campaign.Result, len(tasks))
+	for i, t := range tasks {
+		res, ok := j.store.Lookup(t.Cfg)
+		if !ok {
+			return nil, fmt.Errorf("sweep %s: row %d (%s) is missing from the shared store", j.id, i, t.Cfg.Key())
+		}
+		out[i] = res
+	}
+	return out, nil
 }
 
 // status samples the job for GET /sweeps/{id}.

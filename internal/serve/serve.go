@@ -396,18 +396,18 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	next := 0
 	for {
-		j.mu.Lock()
-		avail, terminal, ch := j.avail, j.report != nil, j.notify
-		// Released rows are immutable once avail covers them, so the
-		// slice can be read outside the lock.
-		rows := j.out[next:avail]
-		j.mu.Unlock()
+		rows, terminal, ch, err := j.rows(next)
+		if err != nil {
+			// Rows already sent cannot be recalled; ending the stream
+			// short of the grid size signals the failure.
+			return
+		}
 		for i := range rows {
 			if err := enc.Encode(&rows[i]); err != nil {
 				return
 			}
 		}
-		next = avail
+		next += len(rows)
 		if len(rows) > 0 && fl != nil {
 			fl.Flush()
 		}
@@ -443,7 +443,12 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "unknown format %q", format)
 		return
 	}
-	if !j.finished() {
+	rows, terminal, _, err := j.rows(0)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
+	if !terminal {
 		httpError(w, http.StatusConflict,
 			"sweep %s is %s; stream /sweeps/%s/results or retry when done",
 			j.id, j.status().State, j.id)
@@ -457,7 +462,11 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	default:
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	}
-	campaign.Emit(w, j.report, format)
+	campaign.Emit(w, &campaign.Report{
+		Spec:    j.spec,
+		Results: rows,
+		Summary: campaign.Summarize(rows),
+	}, format)
 }
 
 // handleCancel is DELETE /sweeps/{id}: task-granular cancellation. The

@@ -542,17 +542,19 @@ func ExampleServer() {
 	// Output: admitted: queued
 }
 
-// A finished sweep keeps only its report, trace and a status snapshot:
-// release must not change the status a client sees, and must drop the
-// runner, the per-sweep registry, the plan and the done flags.
-func TestFinishedSweepReleasesRunningState(t *testing.T) {
-	spec, err := campaign.ParseSpecJSON(strings.NewReader(
-		`{"engines":["aegis","xom"],"workloads":["sequential"],"refs":[2000]}`))
+// runByHand runs spec's grid as a job on an unstarted server's store,
+// outside the dispatcher, and registers the job so the server's
+// handlers serve it. With cancelAfter >= 0 the job is canceled once
+// that many tasks ran.
+func runByHand(t *testing.T, specJSON string, cancelAfter int) (*Server, *sweepJob) {
+	t.Helper()
+	spec, err := campaign.ParseSpecJSON(strings.NewReader(specJSON))
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := New(Config{})
 	reg := obs.NewRegistry()
-	runner, err := campaign.NewRunnerWith(spec, campaign.NewStore())
+	runner, err := campaign.NewRunnerWith(spec, s.Store())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,12 +562,49 @@ func TestFinishedSweepReleasesRunningState(t *testing.T) {
 	j := newSweepJob("s1-release", runner, reg)
 	runner.OnResult(j.record)
 	j.begin(runner.Plan())
-	for _, task := range j.tasks {
+	for i, task := range j.tasks {
+		if i == cancelAfter {
+			j.cancel()
+			break
+		}
 		runner.Exec(task)
 	}
 	j.finalize()
+	s.sweeps[j.id] = j
+	s.order = append(s.order, j.id)
+	return s, j
+}
+
+// served captures what a finished sweep serves: its report in every
+// format and its NDJSON replay.
+func served(t *testing.T, s *Server, id string) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	get := func(name, path string) {
+		rr := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, path, nil))
+		if rr.Code != http.StatusOK {
+			t.Fatalf("GET %s: %d %s", path, rr.Code, rr.Body)
+		}
+		out[name] = rr.Body.String()
+	}
+	for _, f := range campaign.Formats {
+		get(f, "/sweeps/"+id+"/result?format="+f)
+	}
+	get("ndjson", "/sweeps/"+id+"/results")
+	return out
+}
+
+// A finished sweep keeps only its spec, trace and a status snapshot:
+// release must not change the status a client sees, and must drop the
+// runner, the per-sweep registry, the plan and the done flags. A done
+// sweep drops its result rows as well, and still serves byte-identical
+// reports and NDJSON replay, rebuilt from the shared store.
+func TestFinishedSweepReleasesRunningState(t *testing.T) {
+	s, j := runByHand(t, `{"engines":["aegis","xom"],"workloads":["sequential"],"refs":[2000]}`, -1)
 
 	before := j.status()
+	want := served(t, s, j.id)
 	j.release()
 	after := j.status()
 	if before != after {
@@ -578,7 +617,40 @@ func TestFinishedSweepReleasesRunningState(t *testing.T) {
 	if j.runner != nil || j.reg != nil || j.tasks != nil || j.done != nil {
 		t.Error("released job still holds its runner, registry, plan or done flags")
 	}
-	if j.report == nil || len(j.report.Results) != 2 {
-		t.Error("release dropped the report")
+	if j.out != nil {
+		t.Errorf("released done sweep still holds %d result rows", len(j.out))
+	}
+	got := served(t, s, j.id)
+	for name, w := range want {
+		if got[name] != w {
+			t.Errorf("%s changed across release:\n before %q\n after  %q", name, w, got[name])
+		}
+	}
+	if n := strings.Count(want["ndjson"], "\n"); n != 2 {
+		t.Errorf("NDJSON replay has %d rows, want 2", n)
+	}
+}
+
+// A canceled sweep keeps its rows across release: its Canceled
+// placeholders are in no store, so its report is served from them.
+func TestCanceledSweepKeepsPlaceholders(t *testing.T) {
+	s, j := runByHand(t, `{"engines":["aegis","xom"],"workloads":["sequential"],"refs":[2000]}`, 1)
+
+	want := served(t, s, j.id)
+	j.release()
+	if st := j.status(); st.State != StateCanceled || st.Rows != 2 || st.TasksDone != 1 {
+		t.Errorf("canceled status: %+v", st)
+	}
+	if len(j.out) != 2 || j.out[0].Err != "" || j.out[1].Err != campaign.CanceledErr {
+		t.Fatalf("released canceled sweep rows = %+v, want one result and one Canceled placeholder", j.out)
+	}
+	got := served(t, s, j.id)
+	for name, w := range want {
+		if got[name] != w {
+			t.Errorf("%s changed across release:\n before %q\n after  %q", name, w, got[name])
+		}
+	}
+	if !strings.Contains(got["csv"], "canceled") {
+		t.Errorf("canceled sweep's CSV lacks its placeholder:\n%s", got["csv"])
 	}
 }

@@ -42,7 +42,10 @@ type DRAM struct {
 	cfg     Config
 	openRow uint64
 	hasOpen bool
-	store   map[uint64][]byte // page-granular backing store (4 KiB pages)
+	// store is the page-granular backing store (4 KiB pages). Only
+	// Write pages memory in: a page never written is absent and reads
+	// as zero.
+	store map[uint64][]byte
 	// Stats
 	Accesses uint64
 	RowHits  uint64
@@ -75,6 +78,8 @@ func (d *DRAM) AccessCycles(addr uint64) uint64 {
 	return uint64(cycles * d.cfg.ClockDivider)
 }
 
+// page returns the page holding addr, paging it in if absent. Only
+// Write calls it.
 func (d *DRAM) page(addr uint64) []byte {
 	base := addr &^ (pageSize - 1)
 	p, ok := d.store[base]
@@ -104,12 +109,17 @@ func (d *DRAM) Read(addr uint64, n int) []byte {
 }
 
 // ReadInto fetches len(dst) bytes at addr into dst without allocating —
-// the simulator's hot fill path.
+// the simulator's hot fill path. A page never written is zero-filled in
+// dst and stays unpaged, so cold reads cost no memory.
 func (d *DRAM) ReadInto(addr uint64, dst []byte) {
 	for len(dst) > 0 {
-		p := d.page(addr)
 		off := int(addr & (pageSize - 1))
-		n := copy(dst, p[off:])
+		n := min(len(dst), pageSize-off)
+		if p, ok := d.store[addr&^(pageSize-1)]; ok {
+			copy(dst[:n], p[off:])
+		} else {
+			clear(dst[:n])
+		}
 		dst = dst[n:]
 		addr += uint64(n)
 	}

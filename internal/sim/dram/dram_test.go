@@ -72,6 +72,71 @@ func TestUntouchedMemoryReadsZero(t *testing.T) {
 	}
 }
 
+// TestColdReadDoesNotPage: reading memory nobody wrote returns zeros
+// without paging it in, so cold fills cost no memory and no
+// allocation; only Write pages memory in.
+func TestColdReadDoesNotPage(t *testing.T) {
+	d := mustDRAM(t)
+	d.Write(0x1000, []byte{0xaa})
+	pages := len(d.store)
+	buf := bytes.Repeat([]byte{0xff}, 3*pageSize)
+	// Every run reads fresh memory, so a read that paged memory in
+	// would allocate on each of them.
+	cold := uint64(1 << 32)
+	allocs := testing.AllocsPerRun(10, func() {
+		d.ReadInto(cold, buf)
+		cold += 4 * pageSize
+	})
+	if allocs != 0 {
+		t.Errorf("cold ReadInto made %v allocations, want 0", allocs)
+	}
+	// Straddles an unwritten page, the written one and another
+	// unwritten page.
+	addr := uint64(0x1000 - pageSize/2)
+	d.ReadInto(addr, buf)
+	for i, b := range buf {
+		want := byte(0)
+		if addr+uint64(i) == 0x1000 {
+			want = 0xaa
+		}
+		if b != want {
+			t.Fatalf("byte %#x = %#x, want %#x", addr+uint64(i), b, want)
+		}
+	}
+	// Dump allocates only the image it returns.
+	var img []byte
+	allocs = testing.AllocsPerRun(10, func() {
+		img = d.Dump(cold, 2*pageSize)
+		cold += 4 * pageSize
+	})
+	if allocs != 1 {
+		t.Errorf("cold Dump made %v allocations, want 1 (its result)", allocs)
+	}
+	if !bytes.Equal(img, make([]byte, 2*pageSize)) {
+		t.Error("cold Dump is not all zeros")
+	}
+	if len(d.store) != pages {
+		t.Errorf("cold reads paged in memory: %d pages, want %d", len(d.store), pages)
+	}
+}
+
+// TestWriteAfterColdRead: a cold read leaves the page absent, and a
+// later Write to it pages it in and reads back.
+func TestWriteAfterColdRead(t *testing.T) {
+	d := mustDRAM(t)
+	buf := make([]byte, 64)
+	d.ReadInto(0x5000, buf)
+	data := []byte("written after a cold read")
+	d.Write(0x5010, data)
+	if got := d.Read(0x5010, len(data)); !bytes.Equal(got, data) {
+		t.Errorf("roundtrip after cold read: got %q", got)
+	}
+	d.ReadInto(0x5000, buf)
+	if !bytes.Equal(buf[:16], make([]byte, 16)) || !bytes.Equal(buf[16:16+len(data)], data) {
+		t.Errorf("re-read after write: got %q", buf)
+	}
+}
+
 func TestCrossPageWrite(t *testing.T) {
 	d := mustDRAM(t)
 	data := make([]byte, 100)
