@@ -7,12 +7,15 @@
 // tag every tree node with a keyed universal hash instead of a full
 // cryptographic MAC.
 //
-// The implementation is the classic 4-bit-window table method: key
-// expansion precomputes the 16 multiples of H needed to multiply by one
-// hex digit at a time, and the per-block work is 32 table lookups and a
-// shift-reduce. Everything is fixed-size value state, so hashing a line
-// performs zero heap allocations — the property the simulator's
-// 0 allocs/ref hot path requires.
+// The implementation is a byte-wide table method. Key expansion builds
+// the 16 multiples of H for one hex digit, then folds pairs of them into
+// a 256-entry byte table (4 KiB per key): byteTable[b] is b·H for every
+// byte b. The per-block work is 16 steps, each one byte-table lookup, an
+// 8-bit shift and one lookup in a shared 256-entry reduction table. This
+// halves the steps of the classic 4-bit window (32 per block).
+// Everything is fixed-size value state, so hashing a line performs zero
+// heap allocations — the property the simulator's 0 allocs/ref hot path
+// requires.
 package ghash
 
 import "encoding/binary"
@@ -33,20 +36,29 @@ type fieldElement struct {
 	low, high uint64
 }
 
-// Key is an expanded GHASH key: the per-digit multiple table of H.
+// Key is an expanded GHASH key: the per-byte multiple table of H.
 type Key struct {
-	productTable [16]fieldElement
+	byteTable [256]fieldElement
 }
 
-// reductionTable folds the 4 bits shifted out of a field element back
+// reductionTable folds the 8 bits shifted out of a field element back
 // in, premultiplied by the reduction polynomial x^128 + x^7 + x^2 + x + 1.
-var reductionTable = [16]uint16{
-	0x0000, 0x1c20, 0x3840, 0x2460, 0x7080, 0x6ca0, 0x48c0, 0x54e0,
-	0xe100, 0xfd20, 0xd940, 0xc560, 0x9180, 0x8da0, 0xa9c0, 0xb5e0,
-}
+// Bit i of the index is the coefficient of x^(127-i) before the shift,
+// x^(135-i) after it, which reduces to R·x^(7-i) with R = 0xe1<<56 in
+// the reflected representation.
+var reductionTable = func() (t [256]uint64) {
+	for b := range t {
+		for i := 0; i < 8; i++ {
+			if b&(1<<i) != 0 {
+				t[b] ^= 0xe100000000000000 >> (7 - i)
+			}
+		}
+	}
+	return t
+}()
 
-// reverseBits reverses a 4-bit index; the product table is stored in
-// reversed order so the multiply loop can index by the low digit
+// reverseBits reverses a 4-bit index; the digit product table is
+// stored in reversed order so a field element's low digit indexes it
 // directly.
 func reverseBits(i int) int {
 	i = i<<2&0xc | i>>2&0x3
@@ -82,33 +94,41 @@ func NewKey(h []byte) *Key {
 		binary.BigEndian.Uint64(h[:8]),
 		binary.BigEndian.Uint64(h[8:]),
 	}
-	k := &Key{}
-	k.productTable[reverseBits(1)] = x
+	// productTable[d] is d·H for one hex digit d, the digit's bits in
+	// the order a field element's low nibble holds them.
+	var productTable [16]fieldElement
+	productTable[reverseBits(1)] = x
 	for i := 2; i < 16; i += 2 {
-		k.productTable[reverseBits(i)] = double(k.productTable[reverseBits(i/2)])
-		k.productTable[reverseBits(i+1)] = add(k.productTable[reverseBits(i)], x)
+		productTable[reverseBits(i)] = double(productTable[reverseBits(i/2)])
+		productTable[reverseBits(i+1)] = add(productTable[reverseBits(i)], x)
+	}
+	// A byte's low nibble holds the higher-degree digit, so by Horner
+	// b·H = (lo·H)·x^4 + hi·H.
+	k := &Key{}
+	for b := range k.byteTable {
+		k.byteTable[b] = add(shift4(productTable[b&0xf]), productTable[b>>4])
 	}
 	return k
 }
 
-// mul sets y = y * H, one hex digit of y at a time.
+// shift4 multiplies by x^4: four doublings.
+func shift4(x fieldElement) fieldElement {
+	return double(double(double(double(x))))
+}
+
+// mul sets y = y * H, one byte of y at a time (Horner's rule from the
+// highest-degree byte down).
 func (k *Key) mul(y *fieldElement) {
 	var z fieldElement
-	for i := 0; i < 2; i++ {
-		word := y.high
-		if i == 1 {
-			word = y.low
-		}
-		for j := 0; j < 64; j += 4 {
-			msw := z.high & 0xf
-			z.high >>= 4
-			z.high |= z.low << 60
-			z.low >>= 4
-			z.low ^= uint64(reductionTable[msw]) << 48
-			t := &k.productTable[word&0xf]
+	for _, word := range [2]uint64{y.high, y.low} {
+		for j := 0; j < 64; j += 8 {
+			msb := z.high & 0xff
+			z.high = z.high>>8 | z.low<<56
+			z.low = z.low>>8 ^ reductionTable[msb]
+			t := &k.byteTable[word&0xff]
 			z.low ^= t.low
 			z.high ^= t.high
-			word >>= 4
+			word >>= 8
 		}
 	}
 	*y = z

@@ -2,6 +2,8 @@ package ghash
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
 	"encoding/binary"
 	"encoding/hex"
 	"math/rand"
@@ -172,5 +174,92 @@ func TestSumZeroAllocs(t *testing.T) {
 		_ = k.TagLine(0x40, 1, line)
 	}); avg != 0 {
 		t.Fatalf("TagLine allocates %.1f per call, want 0", avg)
+	}
+}
+
+// gcmGHASH computes GHASH under H = AES_K(0^128) through the standard
+// library's GCM, an implementation that shares no code with this
+// package. GCM's tag is GHASH_H(C) ⊕ E_K(J0) with no associated data,
+// and the empty message's tag is E_K(J0) alone (its GHASH is 0), so
+// XORing the two tags leaves GHASH_H(C). Choosing the plaintext as
+// data ⊕ keystream makes the ciphertext C equal data, and GHASH_H(C)
+// then has exactly Sum's framing.
+func gcmGHASH(t *testing.T, key, data []byte) (h [KeySize]byte, sum [KeySize]byte) {
+	t.Helper()
+	block, err := aes.NewCipher(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block.Encrypt(h[:], make([]byte, KeySize))
+	aead, err := cipher.NewGCM(block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nonce := make([]byte, aead.NonceSize())
+	keystream := aead.Seal(nil, nonce, make([]byte, len(data)), nil)[:len(data)]
+	plain := make([]byte, len(data))
+	for i := range plain {
+		plain[i] = data[i] ^ keystream[i]
+	}
+	sealed := aead.Seal(nil, nonce, plain, nil)
+	if !bytes.Equal(sealed[:len(data)], data) {
+		t.Fatalf("chosen plaintext did not encrypt to data")
+	}
+	tag := sealed[len(data):]
+	emptyTag := aead.Seal(nil, nonce, nil, nil)
+	for i := range sum {
+		sum[i] = tag[i] ^ emptyTag[i]
+	}
+	return h, sum
+}
+
+// Sum must equal GHASH as crypto/cipher's GCM computes it, for random
+// keys and every length class (empty, ragged tail, whole blocks).
+func TestSumAgainstGCM(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 20; trial++ {
+		key := make([]byte, 16)
+		rng.Read(key)
+		for _, n := range []int{0, 1, 15, 16, 17, 32, 48, 64, 100} {
+			data := make([]byte, n)
+			rng.Read(data)
+			h, want := gcmGHASH(t, key, data)
+			if got := NewKey(h[:]).Sum(data); got != want {
+				t.Fatalf("trial %d len %d: Sum %x, GCM %x (H=%x)", trial, n, got, want, h)
+			}
+		}
+	}
+}
+
+// FuzzSumAgainstGCM is the differential oracle as a fuzz target: any
+// AES key (zero-padded or truncated to 16 bytes) and any data.
+func FuzzSumAgainstGCM(f *testing.F) {
+	nistC, _ := hex.DecodeString("0388dace60b6a392f328c2b971b2fe78")
+	f.Add(make([]byte, 16), nistC)
+	f.Add([]byte("0123456789abcdef"), make([]byte, 32))
+	f.Add([]byte("fedcba9876543210"), []byte("a ragged tail"))
+	f.Add([]byte{}, []byte{})
+	f.Fuzz(func(t *testing.T, key, data []byte) {
+		var k [16]byte
+		copy(k[:], key)
+		h, want := gcmGHASH(t, k[:], data)
+		if got := NewKey(h[:]).Sum(data); got != want {
+			t.Fatalf("Sum %x, GCM %x (key=%x, len %d)", got, want, k, len(data))
+		}
+	})
+}
+
+// BenchmarkTagLine is the per-line tag cost the tree verifier pays on
+// every verify and update: one 32-byte line behind the address/version
+// prefix block.
+func BenchmarkTagLine(b *testing.B) {
+	k := NewKey([]byte("0123456789abcdef"))
+	line := make([]byte, 32)
+	b.SetBytes(int64(len(line)))
+	b.ReportAllocs()
+	var i uint64
+	for b.Loop() {
+		k.TagLine(i<<5, i, line)
+		i++
 	}
 }

@@ -26,14 +26,16 @@
 // the cached path lazily and pay the propagation on eviction — the
 // cached-tree discipline of the AEGIS literature.
 //
-// Simulation contract: external stores (the per-line tag array) are
-// materialized sparsely and are attacker-tamperable via TagAt/
-// TamperTag; interior nodes are modeled positionally — the walk charges
-// fetch/hash cycles against real node-cache state, while the verdict is
-// computed against the root-anchored ground truth the walk would
-// reconstruct. For the tamper surface the attack harness implements
-// (DRAM data + external tag store), the two are equivalent; see
-// DESIGN.md §7. All steady-state operations are allocation-free.
+// Simulation contract: each protected line has one leaf record holding
+// its external tag (attacker-tamperable via TagAt/TamperTag), its
+// root-anchored ground-truth tag and its counter. Records live in
+// 64-leaf pages allocated on first touch. Interior nodes are modeled
+// positionally — the walk charges fetch/hash cycles against real
+// node-cache state, while the verdict is computed against the
+// root-anchored ground truth the walk would reconstruct. For the tamper
+// surface the attack harness implements (DRAM data + external tag
+// store), the two are equivalent; see DESIGN.md §7. All steady-state
+// operations are allocation-free.
 package authtree
 
 import (
@@ -104,11 +106,9 @@ type Tree struct {
 	nodeBytes  int
 	fetchCost  uint64 // external node fetch/writeback, CPU cycles
 	cache      nodeCache
-	ext        map[uint64]ghash.Tag // external per-line tag store (tamperable)
-	trusted    map[uint64]ghash.Tag // root-anchored ground truth
-	ver        map[uint64]uint64    // per-line counters (CounterTree)
-	Verified   uint64               // successful line verifications
-	Violations uint64               // detected tampers
+	store      leafStore
+	Verified   uint64 // successful line verifications
+	Violations uint64 // detected tampers
 	// Unprotected counts reads/writes outside every protected region.
 	Unprotected uint64
 	// NodeHits / NodeFetches split verification walks by node-cache
@@ -160,12 +160,11 @@ func New(cfg Config) (*Tree, error) {
 	}
 
 	t := &Tree{
-		cfg:     cfg,
-		key:     ghash.NewKey(cfg.Key),
-		leaves:  total / uint64(cfg.LineBytes),
-		ext:     make(map[uint64]ghash.Tag),
-		trusted: make(map[uint64]ghash.Tag),
+		cfg:    cfg,
+		key:    ghash.NewKey(cfg.Key),
+		leaves: total / uint64(cfg.LineBytes),
 	}
+	t.store.init(t.leaves)
 	for a := cfg.Arity; a > 1; a >>= 1 {
 		t.log2Arity++
 	}
@@ -180,7 +179,6 @@ func New(cfg Config) (*Tree, error) {
 	case CounterTree:
 		// Per-child 8-byte counters plus one 8-byte node tag.
 		t.nodeBytes = 8*cfg.Arity + 8
-		t.ver = make(map[uint64]uint64)
 	default:
 		// Full-width interior hashes: collision resistance lives here.
 		t.nodeBytes = ghash.KeySize * cfg.Arity
@@ -231,16 +229,6 @@ func (t *Tree) leafIndex(addr uint64) (uint64, bool) {
 
 func nodeKey(level int, id uint64) uint64 {
 	return uint64(level)<<56 | id
-}
-
-// version returns the freshness input to a line's tag: the live counter
-// under CounterTree, 0 under HashTree (whose freshness comes from the
-// root-anchored tag chain instead).
-func (t *Tree) version(addr uint64) uint64 {
-	if t.ver == nil {
-		return 0
-	}
-	return t.ver[addr]
 }
 
 // walkVerify climbs from the leaf's parent toward the root, stopping at
@@ -295,29 +283,26 @@ func (t *Tree) walkUpdate(leaf uint64) uint64 {
 // attacks: the recomputed tag against the external store catches
 // spoofing and splicing (content and address binding), and the external
 // store against the root-anchored value catches replay of a stale
-// (line, tag) pair.
+// (line, tag) pair. addr is a line address.
 func (t *Tree) VerifyRead(addr uint64, ct []byte) (uint64, bool) {
 	leaf, protected := t.leafIndex(addr)
 	if !protected {
 		t.Unprotected++
 		return 0, true
 	}
+	r := t.store.at(leaf)
 	stall := uint64(t.cfg.TagCycles)
-	want := t.key.TagLine(addr, t.version(addr), ct)
+	want := t.key.TagLine(addr, r.ver, ct)
 	t.Tags++
-	stored, enrolled := t.ext[addr]
-	if !enrolled {
+	if !r.enrolled {
 		// First sight of a never-written line: enroll it, as boot
 		// firmware initializing protected memory would.
-		//repro:allow enrollment inserts once per line; steady-state reads never reach here
-		t.ext[addr] = want
-		//repro:allow enrollment inserts once per line; steady-state reads never reach here
-		t.trusted[addr] = want
+		r.ext, r.trusted, r.enrolled = want, want, true
 		t.Verified++
 		return stall + t.walkUpdate(leaf), true
 	}
 	stall += t.walkVerify(leaf)
-	if want != stored || stored != t.trusted[addr] {
+	if want != r.ext || r.ext != r.trusted {
 		t.Violations++
 		return stall, false
 	}
@@ -326,35 +311,49 @@ func (t *Tree) VerifyRead(addr uint64, ct []byte) (uint64, bool) {
 }
 
 // UpdateWrite implements edu.Verifier: retag the line (bumping its
-// counter under CounterTree) and propagate up the cached path.
+// counter under CounterTree) and propagate up the cached path. addr is
+// a line address.
 func (t *Tree) UpdateWrite(addr uint64, ct []byte) uint64 {
 	leaf, protected := t.leafIndex(addr)
 	if !protected {
 		t.Unprotected++
 		return 0
 	}
-	if t.ver != nil {
-		t.ver[addr]++ //repro:allow sparse counter table; steady-state bumps hit existing keys
+	r := t.store.at(leaf)
+	if t.cfg.Variant == CounterTree {
+		r.ver++
 	}
-	tag := t.key.TagLine(addr, t.version(addr), ct)
+	tag := t.key.TagLine(addr, r.ver, ct)
 	t.Tags++
-	//repro:allow sparse external tag store; steady-state writes hit existing keys
-	t.ext[addr] = tag
-	//repro:allow sparse external tag store; steady-state writes hit existing keys
-	t.trusted[addr] = tag
+	r.ext, r.trusted, r.enrolled = tag, tag, true
 	return uint64(t.cfg.TagCycles) + t.walkUpdate(leaf)
 }
 
 // TagAt returns the externally stored tag for a line — attacker-
-// readable, like the tag memory it models.
+// readable, like the tag memory it models. An address outside every
+// protected region has no tag slot and reports false.
 func (t *Tree) TagAt(addr uint64) ([ghash.TagBytes]byte, bool) {
-	tag, ok := t.ext[addr]
-	return tag, ok
+	leaf, protected := t.leafIndex(addr)
+	if !protected {
+		return ghash.Tag{}, false
+	}
+	r := t.store.at(leaf)
+	return r.ext, r.enrolled
 }
 
 // TamperTag overwrites the external tag store — the attack harness's
-// write access to external memory.
-func (t *Tree) TamperTag(addr uint64, tag [ghash.TagBytes]byte) { t.ext[addr] = tag } //repro:allow attack-harness tamper write; per-strike, timing runs never call it
+// write access to external memory. Tampering a never-enrolled line
+// enrolls a tag no legitimate write vouched for, so its next read is a
+// violation. An address outside every protected region has no tag slot:
+// the call is a no-op, as no read would ever consult the tag.
+func (t *Tree) TamperTag(addr uint64, tag [ghash.TagBytes]byte) {
+	leaf, protected := t.leafIndex(addr)
+	if !protected {
+		return
+	}
+	r := t.store.at(leaf)
+	r.ext, r.enrolled = tag, true
+}
 
 // NodeHitRate reports the fraction of walk terminations served by the
 // node cache.
@@ -442,4 +441,52 @@ func (c *nodeCache) insert(key uint64, dirty bool) (evictedDirty bool) {
 	evictedDirty = ways[victim].valid && ways[victim].dirty
 	ways[victim] = nodeEntry{key: key, valid: true, dirty: dirty, used: c.tick}
 	return evictedDirty
+}
+
+// leafRecord is all the tree keeps per protected line.
+type leafRecord struct {
+	ext      ghash.Tag // external tag store (tamperable)
+	trusted  ghash.Tag // root-anchored ground truth
+	ver      uint64    // per-line counter (CounterTree; 0 under HashTree)
+	enrolled bool      // ext holds a tag: written, enrolled on read, or tampered
+}
+
+// Leaf records are paged two levels deep: a top directory sized from
+// the leaf count points to 64-entry directories, which point to 64-leaf
+// record pages. A page is 2 KiB, so a short run that touches a few
+// hundred scattered lines allocates a few hundred KiB, while a long
+// run's dense footprint costs 32 bytes per line plus 1/8 byte of
+// directory.
+const (
+	leafPageBits = 6
+	leafDirBits  = 6
+	leafPageMask = 1<<leafPageBits - 1
+	leafDirMask  = 1<<leafDirBits - 1
+)
+
+type leafPage [1 << leafPageBits]leafRecord
+
+type leafDir [1 << leafDirBits]*leafPage
+
+type leafStore struct {
+	top []*leafDir
+}
+
+func (s *leafStore) init(leaves uint64) {
+	const span = 1 << (leafPageBits + leafDirBits)
+	s.top = make([]*leafDir, (leaves+span-1)/span)
+}
+
+// at returns leaf's record, allocating its directory and page on first
+// touch.
+func (s *leafStore) at(leaf uint64) *leafRecord {
+	dir := &s.top[leaf>>(leafPageBits+leafDirBits)]
+	if *dir == nil {
+		*dir = new(leafDir) //repro:allow demand paging; each directory allocates once, steady state hits existing ones
+	}
+	page := &(*dir)[leaf>>leafPageBits&leafDirMask]
+	if *page == nil {
+		*page = new(leafPage) //repro:allow demand paging; each 2 KiB page allocates once, steady state hits existing pages
+	}
+	return &(*page)[leaf&leafPageMask]
 }

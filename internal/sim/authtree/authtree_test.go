@@ -269,3 +269,228 @@ func TestVerifierZeroAllocs(t *testing.T) {
 		}
 	}
 }
+
+// mapTree is the reference model for the leaf store: per-line state in
+// address-keyed maps, the plainest store with the same semantics. It
+// drives its own Tree for geometry, node-cache walks and counters, and
+// replaces only the per-line state. Addresses outside every region
+// have no tag slot here too: TagAt reports false, TamperTag is a no-op.
+type mapTree struct {
+	*Tree
+	ext, trusted map[uint64]ghash.Tag
+	ver          map[uint64]uint64
+}
+
+func newMapTree(t *testing.T, variant Variant, nodeCacheBytes int) *mapTree {
+	return &mapTree{
+		Tree:    mkTree(t, variant, nodeCacheBytes),
+		ext:     make(map[uint64]ghash.Tag),
+		trusted: make(map[uint64]ghash.Tag),
+		ver:     make(map[uint64]uint64),
+	}
+}
+
+func (m *mapTree) VerifyRead(addr uint64, ct []byte) (uint64, bool) {
+	leaf, protected := m.leafIndex(addr)
+	if !protected {
+		m.Unprotected++
+		return 0, true
+	}
+	stall := uint64(m.cfg.TagCycles)
+	want := m.key.TagLine(addr, m.ver[addr], ct)
+	m.Tags++
+	stored, enrolled := m.ext[addr]
+	if !enrolled {
+		m.ext[addr], m.trusted[addr] = want, want
+		m.Verified++
+		return stall + m.walkUpdate(leaf), true
+	}
+	stall += m.walkVerify(leaf)
+	if want != stored || stored != m.trusted[addr] {
+		m.Violations++
+		return stall, false
+	}
+	m.Verified++
+	return stall, true
+}
+
+func (m *mapTree) UpdateWrite(addr uint64, ct []byte) uint64 {
+	leaf, protected := m.leafIndex(addr)
+	if !protected {
+		m.Unprotected++
+		return 0
+	}
+	if m.cfg.Variant == CounterTree {
+		m.ver[addr]++
+	}
+	tag := m.key.TagLine(addr, m.ver[addr], ct)
+	m.Tags++
+	m.ext[addr], m.trusted[addr] = tag, tag
+	return uint64(m.cfg.TagCycles) + m.walkUpdate(leaf)
+}
+
+func (m *mapTree) TagAt(addr uint64) (ghash.Tag, bool) {
+	tag, ok := m.ext[addr]
+	return tag, ok
+}
+
+func (m *mapTree) TamperTag(addr uint64, tag ghash.Tag) {
+	if _, protected := m.leafIndex(addr); protected {
+		m.ext[addr] = tag
+	}
+}
+
+// The leaf records must reproduce the map model exactly: same verdicts,
+// stalls and tags, and the same counters, under random reads, writes,
+// spoofs, splices, replays and forged tags over both regions, some never-
+// written lines and some unprotected addresses.
+func TestLeafStoreMatchesMapModel(t *testing.T) {
+	for _, variant := range []Variant{HashTree, CounterTree} {
+		for _, nodeCache := range []int{512, 4 << 10} {
+			rng := rand.New(rand.NewSource(int64(variant)*10 + int64(nodeCache)))
+			got := mkTree(t, variant, nodeCache)
+			ref := newMapTree(t, variant, nodeCache)
+			// A working set per region: lines in one 8 KiB cluster (so
+			// pages are shared) and lines scattered over the region.
+			var addrs []uint64
+			for _, r := range testRegions() {
+				for i := uint64(0); i < 256; i++ {
+					addrs = append(addrs, r.Base+i*32)
+					addrs = append(addrs, r.Base+uint64(rng.Int63n(int64(r.Bytes/32)))*32)
+				}
+			}
+			addrs = append(addrs, 0x9000_0000, 1<<20, 0x4000_0000+4<<20)
+			mem := make(map[uint64][]byte) // what DRAM holds per line
+			type snapshot struct {
+				ct  []byte
+				tag ghash.Tag
+			}
+			stale := make(map[uint64]snapshot) // a line's state before its last write
+			content := func(a uint64) []byte {
+				if b, ok := mem[a]; ok {
+					return b
+				}
+				return line(0)
+			}
+			pick := func() uint64 { return addrs[rng.Intn(len(addrs))] }
+			for op := 0; op < 20000; op++ {
+				a := pick()
+				switch k := rng.Intn(20); {
+				case k < 9: // read what DRAM holds
+					gs, gok := got.VerifyRead(a, content(a))
+					rs, rok := ref.VerifyRead(a, content(a))
+					if gs != rs || gok != rok {
+						t.Fatalf("%v op %d read %#x: got (%d,%v), model (%d,%v)", variant, op, a, gs, gok, rs, rok)
+					}
+				case k < 14: // legitimate write
+					if tag, ok := ref.TagAt(a); ok {
+						stale[a] = snapshot{content(a), tag}
+					}
+					ct := line(byte(rng.Intn(256)))
+					mem[a] = ct
+					if gs, rs := got.UpdateWrite(a, ct), ref.UpdateWrite(a, ct); gs != rs {
+						t.Fatalf("%v op %d write %#x: stall %d, model %d", variant, op, a, gs, rs)
+					}
+				case k < 15: // replay: roll bytes and tag back
+					if snap, ok := stale[a]; ok {
+						mem[a] = snap.ct
+						got.TamperTag(a, snap.tag)
+						ref.TamperTag(a, snap.tag)
+					}
+				case k < 16: // spoof: junk bytes in DRAM
+					mem[a] = line(byte(rng.Intn(256)))
+				case k < 17: // splice: another line's bytes and tag
+					src := pick()
+					mem[a] = content(src)
+					if tag, ok := ref.TagAt(src); ok {
+						got.TamperTag(a, tag)
+						ref.TamperTag(a, tag)
+					}
+				case k < 18: // forged tag
+					var tag ghash.Tag
+					rng.Read(tag[:])
+					got.TamperTag(a, tag)
+					ref.TamperTag(a, tag)
+				default: // the attacker reads the tag store
+					gt, gok := got.TagAt(a)
+					rt, rok := ref.TagAt(a)
+					if gt != rt || gok != rok {
+						t.Fatalf("%v op %d TagAt %#x: got (%x,%v), model (%x,%v)", variant, op, a, gt, gok, rt, rok)
+					}
+				}
+			}
+			type counters struct{ verified, violations, tags, hits, fetches, unprotected uint64 }
+			g := counters{got.Verified, got.Violations, got.Tags, got.NodeHits, got.NodeFetches, got.Unprotected}
+			r := counters{ref.Verified, ref.Violations, ref.Tags, ref.NodeHits, ref.NodeFetches, ref.Unprotected}
+			if g != r {
+				t.Errorf("%v cache %d: counters %+v, model %+v", variant, nodeCache, g, r)
+			}
+			if g.violations == 0 || g.unprotected == 0 {
+				t.Errorf("%v cache %d: sequence exercised no violations or no unprotected traffic: %+v", variant, nodeCache, g)
+			}
+		}
+	}
+}
+
+// An address outside every protected region has no tag slot: TagAt
+// reports false and TamperTag changes nothing, before and after the
+// line is read or written.
+func TestUnprotectedTagSlot(t *testing.T) {
+	for _, variant := range []Variant{HashTree, CounterTree} {
+		tr := mkTree(t, variant, 4<<10)
+		for _, a := range []uint64{0x9000_0000, 1 << 20, 0x4000_0000 + 4<<20} {
+			tr.TamperTag(a, ghash.Tag{1, 2, 3})
+			if tag, ok := tr.TagAt(a); ok {
+				t.Errorf("%v: TagAt(%#x) after tamper = %x, true; want false", variant, a, tag)
+			}
+			tr.UpdateWrite(a, line(1))
+			if _, ok := tr.TagAt(a); ok {
+				t.Errorf("%v: TagAt(%#x) after write reports a tag", variant, a)
+			}
+			if _, ok := tr.VerifyRead(a, line(2)); !ok {
+				t.Errorf("%v: unprotected read at %#x rejected", variant, a)
+			}
+		}
+		if tr.Unprotected != 6 || tr.Tags != 0 {
+			t.Errorf("%v: Unprotected=%d Tags=%d, want 6 and 0", variant, tr.Unprotected, tr.Tags)
+		}
+		// A protected line still reports its tag, and a tamper on a
+		// never-enrolled protected line makes its next read a violation.
+		tr.UpdateWrite(0x40, line(1))
+		if _, ok := tr.TagAt(0x40); !ok {
+			t.Errorf("%v: protected line has no tag after a write", variant)
+		}
+		if _, ok := tr.TagAt(0x80); ok {
+			t.Errorf("%v: never-touched protected line reports a tag", variant)
+		}
+		tr.TamperTag(0x80, ghash.Tag{1})
+		if _, ok := tr.VerifyRead(0x80, line(1)); ok {
+			t.Errorf("%v: read after a tamper on a never-enrolled line verified", variant)
+		}
+	}
+}
+
+// BenchmarkVerifyRead is the warm verify path: 4096 enrolled lines of
+// a counter tree, read round-robin, so every call finds its leaf page.
+func BenchmarkVerifyRead(b *testing.B) {
+	tr, err := New(Config{
+		Key: testKey, LineBytes: 32, Regions: testRegions(),
+		NodeCacheBytes: 4 << 10, Variant: CounterTree,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ct := line(1)
+	const lines = 4096
+	for i := uint64(0); i < lines; i++ {
+		tr.UpdateWrite(i*32, ct)
+	}
+	b.ReportAllocs()
+	var i uint64
+	for b.Loop() {
+		if _, ok := tr.VerifyRead(i%lines*32, ct); !ok {
+			b.Fatal("warm read rejected")
+		}
+		i++
+	}
+}
